@@ -147,10 +147,7 @@ fn decide_agent(mode: DecideMode) -> SelectionAgent {
     SelectionAgent::new(
         DqnConfig::default(),
         &Exploration::Ucb { scale: 0.1 },
-        DecideConfig {
-            mode,
-            shortlist: 64,
-        },
+        DecideConfig { mode },
         None,
         &mut rng,
     )
@@ -350,12 +347,10 @@ fn render_json(
             out,
             "      {{ \"pool\": {pool}, \"exhaustive_ms\": {exhaustive_ms:.3}, \
              \"pruned_ms\": {pruned_ms:.3}, \"speedup\": {:.2}, \
-             \"scored_fraction\": {:.4}, \"cache_hit_rate\": {:.4}, \
-             \"full_row_fallbacks\": {} }}{comma}",
+             \"scored_fraction\": {:.4}, \"cache_hit_rate\": {:.4} }}{comma}",
             exhaustive_ms / pruned_ms,
             d.scored_pairs as f64 / d.total_pairs as f64,
             d.cache_hits as f64 / (d.cache_hits + d.cache_misses).max(1) as f64,
-            d.full_row_fallbacks,
         );
     }
     out.push_str("    ]\n  }\n}\n");

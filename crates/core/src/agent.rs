@@ -13,7 +13,7 @@
 //! ranking with uniform-random feasible annotators.
 
 use crate::config::{Ablation, Exploration};
-use crate::decide::{AnnotatorCache, DecideConfig, DecideMode, DecideStats, LazyPairScores};
+use crate::decide::{AnnotatorCache, DecideConfig, DecideMode, DecideStats, DedupPairScores};
 use crate::features::{
     embed_annotator_specific, embed_object_part, embed_run_part, ObjectFeatures, StateSnapshot,
     ANNOTATOR_SPECIFIC_DIM, FEATURE_DIM, OBJECT_PART_DIM,
@@ -50,51 +50,29 @@ pub struct SelectionAgent {
     stats: DecideStats,
 }
 
-/// One greedy panel-fill attempt (see [`fill_panel`]).
-struct FillAttempt {
-    /// Chosen annotator positions, best first.
-    picks: Vec<usize>,
-    /// The walk reached an entry at or below `stop_below` before the
-    /// panel filled — an unscored annotator could rank from here on, so
-    /// the attempt is not trustworthy.
-    hit_barrier: bool,
-}
-
 /// Walk `ranked` best-first and greedily fill a panel of up to `k`
 /// annotators under the panel constraints (at most one expert, running
-/// allowance, free concurrency slots). Pure: the caller commits the
-/// picks (allowance, `picked`, UCB counts) only once the attempt is
-/// accepted. `stop_below` is the pruned path's barrier — entries at or
-/// below it abort the walk (`NEG_INFINITY` disables the barrier; ranked
-/// lists never contain `-inf` entries).
-#[allow(clippy::too_many_arguments)]
+/// allowance, free concurrency slots), charging each pick to `allowance`
+/// and to the batch-wide `picked` counts.
 fn fill_panel(
     ranked: &[usize],
-    score_of: &dyn Fn(usize) -> f64,
     active: &[&AnnotatorProfile],
     slots: Option<&HashMap<AnnotatorId, usize>>,
-    picked: &[usize],
-    mut allowance: f64,
+    picked: &mut [usize],
+    allowance: &mut f64,
     k: usize,
-    stop_below: f64,
-) -> FillAttempt {
+) -> Vec<usize> {
     let mut picks = Vec::with_capacity(k);
     let mut has_expert = false;
     for &ai in ranked {
         if picks.len() == k {
             break;
         }
-        if score_of(ai) <= stop_below {
-            return FillAttempt {
-                picks,
-                hit_barrier: true,
-            };
-        }
         let profile = active[ai];
         if profile.is_expert() && has_expert {
             continue;
         }
-        if profile.cost > allowance {
+        if profile.cost > *allowance {
             continue;
         }
         if let Some(slots) = slots {
@@ -103,14 +81,12 @@ fn fill_panel(
                 continue; // all concurrency slots spoken for
             }
         }
-        allowance -= profile.cost;
+        *allowance -= profile.cost;
+        picked[ai] += 1;
         has_expert |= profile.is_expert();
         picks.push(ai);
     }
-    FillAttempt {
-        picks,
-        hit_barrier: false,
-    }
+    picks
 }
 
 /// Checkpointable state of a [`SelectionAgent`]: the Q-network (weights,
@@ -344,10 +320,10 @@ impl SelectionAgent {
         // lately?".
         let mut dense: Option<Vec<f64>> = None;
         // Pruned mode: cached first-layer partials per annotator, resumed
-        // with the run block and bias, wrapped in a lazily-scored grid
-        // with column deduplication and sound per-column score upper
-        // bounds (see `decide`).
-        let mut grid: Option<LazyPairScores> = None;
+        // with the run block and bias, deduplicated into score columns
+        // and scored in one batched forward (see `decide`). The grid
+        // declines a mostly distinct pool, which then scores densely.
+        let mut grid: Option<DedupPairScores> = None;
         if !skip_scoring && self.decide.mode == DecideMode::Pruned {
             let _grid_span = crowdrl_obs::span("decide.grid");
             let generation = self.dqn.params_generation();
@@ -373,23 +349,15 @@ impl SelectionAgent {
                 rp.push(row);
             }
             let keys: Vec<u64> = active.iter().map(|p| p.id.index() as u64).collect();
-            let lazy = LazyPairScores::new(
+            grid = DedupPairScores::new(
                 net,
                 &object_parts,
                 rp,
-                masked.clone(),
-                keys,
+                &masked,
+                &keys,
                 self.ucb.as_ref(),
+                &mut self.stats,
             );
-            // Column dedup is the pruning workhorse. When the pool is
-            // mostly distinct (a long-profiled pool where every annotator
-            // carries its own quality estimate), the lazy grid's per-pair
-            // overhead outweighs its savings — score densely instead.
-            // Both backends produce bit-identical selections, so this is
-            // purely a cost choice.
-            if 2 * lazy.column_count() <= w {
-                grid = Some(lazy);
-            }
         }
         if !skip_scoring && grid.is_none() {
             // Exhaustive mode, or the pruned grid declined: one factored
@@ -423,9 +391,16 @@ impl SelectionAgent {
         }
 
         let _rank_span = crowdrl_obs::span("decide.rank");
-        // Rank objects by top-k score sums (exact in both modes: the
-        // pruned grid extends its scored prefix until every object's
-        // k-th best strictly clears the best unscored bound).
+        // One object's adjusted scores (masked pairs `-inf`), bit-identical
+        // from either backend.
+        let row_of = |ci: usize| -> Vec<f64> {
+            match (&dense, &grid) {
+                (Some(scores), _) => scores[ci * w..(ci + 1) * w].to_vec(),
+                (None, Some(g)) => (0..w).map(|ai| g.score_at(ci, ai)).collect(),
+                (None, None) => unreachable!("scored ranking requires a scoring backend"),
+            }
+        };
+        // Rank objects by top-k score sums.
         let chosen_objects: Vec<usize> = if random_selection {
             // M1 / exploration: uniform-random among candidates with at
             // least one feasible pair.
@@ -437,16 +412,7 @@ impl SelectionAgent {
                 .map(|i| feasible[i])
                 .collect()
         } else {
-            let sums: Vec<f64> = match (&dense, &mut grid) {
-                (Some(scores), _) => (0..c)
-                    .map(|ci| topk::top_k_sum(&scores[ci * w..(ci + 1) * w], k))
-                    .collect(),
-                (None, Some(g)) => {
-                    g.ensure_exact_sums(k, self.decide.shortlist, &mut self.stats);
-                    g.exact_sums(k)
-                }
-                (None, None) => unreachable!("scored selection requires a scoring backend"),
-            };
+            let sums: Vec<f64> = (0..c).map(|ci| topk::top_k_sum(&row_of(ci), k)).collect();
             topk::top_k_indices(&sums, batch)
         };
 
@@ -459,107 +425,24 @@ impl SelectionAgent {
             // Greedy panel fill: best-scored first, at most one expert,
             // each pick charged against the iteration allowance and the
             // annotator's free concurrency slots.
-            let attempt = if random_assignment {
+            let ranked = if random_assignment {
                 // M2 / exploration: uniform-random feasible annotators.
                 let feasible: Vec<usize> = (0..w).filter(|&ai| !masked[ci * w + ai]).collect();
-                let ranked: Vec<usize> = sample_indices(rng, feasible.len(), feasible.len())
+                sample_indices(rng, feasible.len(), feasible.len())
                     .into_iter()
                     .map(|i| feasible[i])
-                    .collect();
-                fill_panel(
-                    &ranked,
-                    &|_| 0.0,
-                    &active,
-                    slots,
-                    &picked,
-                    allowance,
-                    k,
-                    f64::NEG_INFINITY,
-                )
-            } else if let Some(scores) = &dense {
-                let row = &scores[ci * w..(ci + 1) * w];
-                let ranked = topk::top_k_indices(row, w);
-                fill_panel(
-                    &ranked,
-                    &|ai| row[ai],
-                    &active,
-                    slots,
-                    &picked,
-                    allowance,
-                    k,
-                    f64::NEG_INFINITY,
-                )
+                    .collect()
             } else {
-                let g = grid.as_mut().expect("scored assignment requires the grid");
-                if random_selection {
-                    // The object was chosen at random, so its row may be
-                    // entirely unscored — score it outright.
-                    g.score_full_row(ci, &mut self.stats);
-                    let ranked = g.ranked_scored(ci);
-                    fill_panel(
-                        &ranked,
-                        &|ai| g.score_at(ci, ai),
-                        &active,
-                        slots,
-                        &picked,
-                        allowance,
-                        k,
-                        f64::NEG_INFINITY,
-                    )
-                } else {
-                    // Walk the scored entries; the barrier aborts the
-                    // moment an unscored annotator could outrank the rest
-                    // of the walk. An attempt that ends early (barrier
-                    // hit, or panel unfilled with annotators unscored)
-                    // falls back to scoring the whole row — pruning never
-                    // changes the outcome, only the work.
-                    let beta = g.barrier();
-                    let ranked = g.ranked_scored(ci);
-                    let first = fill_panel(
-                        &ranked,
-                        &|ai| g.score_at(ci, ai),
-                        &active,
-                        slots,
-                        &picked,
-                        allowance,
-                        k,
-                        beta,
-                    );
-                    if !g.fully_scored() && (first.hit_barrier || first.picks.len() < k) {
-                        self.stats.full_row_fallbacks += 1;
-                        g.score_full_row(ci, &mut self.stats);
-                        let ranked = g.ranked_scored(ci);
-                        fill_panel(
-                            &ranked,
-                            &|ai| g.score_at(ci, ai),
-                            &active,
-                            slots,
-                            &picked,
-                            allowance,
-                            k,
-                            f64::NEG_INFINITY,
-                        )
-                    } else {
-                        first
-                    }
-                }
+                topk::top_k_indices(&row_of(ci), w)
             };
-            if attempt.picks.is_empty() {
+            let picks = fill_panel(&ranked, &active, slots, &mut picked, &mut allowance, k);
+            if picks.is_empty() {
                 continue;
             }
-            // Commit the accepted attempt: replay the allowance and slot
-            // charges in pick order (bit-identical to charging during the
-            // walk), then record and emit.
-            for &ai in &attempt.picks {
-                allowance -= active[ai].cost;
-                picked[ai] += 1;
-            }
-            let annotators: Vec<AnnotatorId> =
-                attempt.picks.iter().map(|&ai| active[ai].id).collect();
+            let annotators: Vec<AnnotatorId> = picks.iter().map(|&ai| active[ai].id).collect();
             // Reassemble the full replay embeddings for the few chosen
             // pairs only — the concatenation is exactly `embed_with`.
-            let chosen_embeddings: Vec<Vec<f32>> = attempt
-                .picks
+            let chosen_embeddings: Vec<Vec<f32>> = picks
                 .iter()
                 .map(|&ai| {
                     let mut e = object_parts[ci].clone();
@@ -957,20 +840,19 @@ mod tests {
     #[test]
     fn pruned_and_exhaustive_selections_are_bit_identical() {
         use crate::decide::DecideMode;
-        // Small shortlist forces real pruning even at this pool size.
+        // A tiered pool dedups into a handful of columns, so pruning
+        // engages even at this pool size.
         for seed in [31u64, 32, 33] {
             let mut pruned = agent_with(
                 seed,
                 DecideConfig {
                     mode: DecideMode::Pruned,
-                    shortlist: 4,
                 },
             );
             let mut exhaustive = agent_with(
                 seed,
                 DecideConfig {
                     mode: DecideMode::Exhaustive,
-                    shortlist: 4,
                 },
             );
             let profiles = profiles(20, 3);

@@ -128,8 +128,8 @@ pub struct CrowdRlConfig {
     /// Optional pre-trained Q-network parameters (the paper's offline
     /// "cross-training": train on other datasets, deploy here, §VI-A.4).
     pub pretrained_dqn: Option<Vec<f32>>,
-    /// Decide-path scoring strategy (pruned vs exhaustive) and shortlist
-    /// width. Selections are bit-identical across modes, so this knob is
+    /// Decide-path scoring strategy (pruned vs exhaustive). Selections
+    /// are bit-identical across modes, so this knob is
     /// excluded from [`CrowdRlConfig::fingerprint`] — checkpoints taken
     /// under one mode restore under the other.
     pub decide: DecideConfig,
@@ -240,11 +240,6 @@ impl CrowdRlConfig {
                     return Err(Error::InvalidParameter("epsilon must be in [0,1]".into()));
                 }
             }
-        }
-        if self.decide.shortlist == 0 {
-            return Err(Error::InvalidParameter(
-                "decide.shortlist must be positive".into(),
-            ));
         }
         self.classifier.validate()?;
         self.engine.validate()?;
@@ -423,7 +418,7 @@ impl CrowdRlConfigBuilder {
         self
     }
 
-    /// Set the decide-path configuration (scoring strategy + shortlist).
+    /// Set the decide-path configuration (scoring strategy).
     pub fn decide(mut self, decide: DecideConfig) -> Self {
         self.config.decide = decide;
         self
@@ -481,7 +476,6 @@ mod tests {
             .budget(100.0)
             .decide(DecideConfig {
                 mode: DecideMode::Exhaustive,
-                shortlist: 8,
             })
             .build()
             .unwrap();
@@ -537,13 +531,6 @@ mod tests {
             .engine(EngineConfig {
                 warm_max_iters: 0,
                 ..EngineConfig::default()
-            })
-            .build()
-            .is_err());
-        assert!(base()
-            .decide(crate::decide::DecideConfig {
-                shortlist: 0,
-                ..Default::default()
             })
             .build()
             .is_err());

@@ -1,10 +1,10 @@
-//! Decide-path pruning: cached annotator activations and exact top-slot
-//! shortlists for [`SelectionAgent::select`](crate::agent::SelectionAgent).
+//! Decide-path pruning: cached annotator activations and column
+//! deduplication for [`SelectionAgent::select`](crate::agent::SelectionAgent).
 //!
 //! `serve.decide` is the service hot path: every refresh scores each
 //! candidate object against the whole annotator pool, so its cost is
 //! O(objects × pool) Q-network forwards and dominates wall time at
-//! thousands of annotators (DESIGN.md §13). Three mechanisms cut the
+//! thousands of annotators (DESIGN.md §13). Two mechanisms cut the
 //! annotator dimension without changing a single selection:
 //!
 //! 1. **Activation cache** ([`AnnotatorCache`]): the annotator-specific
@@ -19,51 +19,37 @@
 //!    reproducing the full matmul row bit-for-bit
 //!    (`Dense::accumulate_partial`).
 //!
-//! 2. **Column deduplication** ([`LazyPairScores`]): annotators enter the
-//!    Q-network only through their first-layer suffix row, a function of
-//!    the 4-float specific block. Annotators whose rows are bit-identical
-//!    — in a large pool the overwhelming majority, since every annotator
-//!    the inference engine has not yet profiled sits at the same prior
-//!    quality, zero load, and one of a handful of cost tiers — provably
-//!    produce bit-identical Q-values for every object. Each distinct
-//!    column is forwarded once and shared; per-annotator identity
-//!    (UCB bonus, answered-pair mask, index tie-break) is restored at
-//!    expansion with the exact floating-point expression exhaustive
-//!    scoring uses (`score_soft(q, a) == q + bonus_soft(a)`). This is
-//!    what makes decide sublinear in the pool size in practice: tail
-//!    cost scales with *distinct annotator states*, not pool size.
+//! 2. **Column deduplication** ([`DedupPairScores`]):
+//!    annotators enter the Q-network only through their first-layer
+//!    suffix row, a function of the 4-float specific block. Annotators
+//!    whose rows are bit-identical — in a large pool the overwhelming
+//!    majority, since every annotator the inference engine has not yet
+//!    profiled sits at the same prior quality, zero load, and one of a
+//!    handful of cost tiers — provably produce bit-identical Q-values for
+//!    every object. Each distinct column is forwarded once and shared;
+//!    per-annotator identity (UCB bonus, answered-pair mask, index
+//!    tie-break) is restored at expansion with the exact floating-point
+//!    expression exhaustive scoring uses
+//!    (`score_soft(q, a) == q + bonus_soft(a)`). This is what makes
+//!    decide sublinear in the pool size in practice: tail cost scales
+//!    with *distinct annotator states*, not pool size.
 //!
-//! 3. **Exact shortlist**: per-column upper bounds on the adjusted score
-//!    — interval propagation of the candidate set's first-layer envelope
-//!    through the network tail (`Network::tail_forward_interval`), plus
-//!    the best member bonus, both sound in f32/f64 by monotonicity of
-//!    correctly-rounded arithmetic — let each object score only a top-M
-//!    prefix of columns ordered by bound. The prefix grows until every
-//!    object's current k-th best *strictly* exceeds the best unscored
-//!    bound (ties must extend: an unscored annotator with an equal score
-//!    and a lower index could displace a pick under `topk`'s tie-break),
-//!    and panel fill falls back to scoring an object's full row whenever
-//!    it would have to dig below the barrier. Interval bounds through a
-//!    deep tail are loose, so this engages mainly when bonus spread or a
-//!    trained policy separates the pool — dedup is the workhorse, the
-//!    barrier an extra exact cutoff. Pruning is therefore a pure
-//!    optimization: selections, sums and traces are bit-identical to
-//!    exhaustive scoring, which `tests/decide_equiv.rs` pins across pool
-//!    sizes and thread widths.
+//! Pruning is therefore a pure optimization: selections, sums and traces
+//! are bit-identical to exhaustive scoring, which `tests/decide_equiv.rs`
+//! pins across pool sizes and thread widths.
 
 use crate::features::{ANNOTATOR_SPECIFIC_DIM, OBJECT_PART_DIM};
 use crowdrl_linalg::Matrix;
 use crowdrl_nn::Network;
-use crowdrl_rl::{topk, UcbExplorer};
+use crowdrl_rl::UcbExplorer;
 use std::collections::HashMap;
 
 /// How `select` scores the (object × annotator) candidate grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecideMode {
-    /// Cached annotator activations, column deduplication, and exact
-    /// bound-driven shortlists. Bit-identical selections to
-    /// [`DecideMode::Exhaustive`], sublinear in the pool size in
-    /// practice.
+    /// Cached annotator activations and column deduplication.
+    /// Bit-identical selections to [`DecideMode::Exhaustive`], sublinear
+    /// in the pool size in practice.
     Pruned,
     /// Score every pair with one factored batched forward (the reference
     /// path).
@@ -75,18 +61,12 @@ pub enum DecideMode {
 pub struct DecideConfig {
     /// Scoring strategy.
     pub mode: DecideMode,
-    /// Initial shortlist width M: how many top-bound score columns are
-    /// scored up front before the bound test starts extending. Must be
-    /// at least 1; pools no wider than M degrade gracefully to
-    /// exhaustive scoring.
-    pub shortlist: usize,
 }
 
 impl Default for DecideConfig {
     fn default() -> Self {
         Self {
             mode: DecideMode::Pruned,
-            shortlist: 64,
         }
     }
 }
@@ -104,8 +84,6 @@ pub struct DecideStats {
     /// Annotator partials recomputed (absent, stale generation, or
     /// changed features).
     pub cache_misses: u64,
-    /// Panel fills that had to fall back to scoring an object's full row.
-    pub full_row_fallbacks: u64,
     /// Annotators that reached embedding/scoring after the feasibility
     /// pre-filter.
     pub forwarded_annotators: u64,
@@ -122,7 +100,6 @@ impl DecideStats {
             scored_pairs: self.scored_pairs - earlier.scored_pairs,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
-            full_row_fallbacks: self.full_row_fallbacks - earlier.full_row_fallbacks,
             forwarded_annotators: self.forwarded_annotators - earlier.forwarded_annotators,
             filtered_annotators: self.filtered_annotators - earlier.filtered_annotators,
         }
@@ -212,356 +189,126 @@ impl AnnotatorCache {
     }
 }
 
-/// Lazily-scored (object × annotator) grid with column deduplication and
-/// exact per-column score upper bounds.
+/// The (object × annotator) score grid over deduplicated columns.
 ///
-/// Adjusted scores are `NaN` until their column is computed, `-inf` for
-/// masked (already-answered) pairs, and otherwise the UCB-adjusted
-/// Q-value — bit-identical to what exhaustive scoring produces: every
-/// forward is row-independent, the cached/resumed first-layer rows
-/// replicate the kernel's exact operation sequence, annotators sharing a
-/// bit-identical suffix row share one forwarded Q-column, and the UCB
-/// adjustment is re-applied per annotator with the identical
-/// floating-point expression (`UcbExplorer::bonus_soft`).
-pub struct LazyPairScores<'n> {
-    net: &'n Network,
-    /// Object-part first-layer partials, `c × h1`.
-    lp: Matrix,
-    /// Distinct biased annotator-suffix first-layer rows (one per score
-    /// column).
-    rp: Vec<Vec<f32>>,
+/// Every distinct column is scored against every candidate object in one
+/// batched forward. Adjusted scores are `-inf` for masked
+/// (already-answered) pairs and otherwise the UCB-adjusted Q-value —
+/// bit-identical to what exhaustive scoring produces: every forward is
+/// row-independent, the cached/resumed first-layer rows replicate the
+/// kernel's exact operation sequence, annotators sharing a bit-identical
+/// suffix row share one forwarded Q-column, and the UCB adjustment is
+/// re-applied per annotator with the identical floating-point expression
+/// (`UcbExplorer::bonus_soft`).
+pub struct DedupPairScores<'m> {
     /// Annotator position → score column.
     group_of: Vec<usize>,
-    /// Sound upper bound on each column's adjusted score over all
-    /// candidate objects and member annotators.
-    ub: Vec<f64>,
-    /// Sound upper bound on each column's raw Q over all candidates
-    /// (debug invariant checking).
-    q_hi: Vec<f64>,
-    /// Columns ordered by bound (descending, index-ascending on ties).
-    order: Vec<usize>,
-    /// Length of the scored prefix of `order`.
-    prefix: usize,
-    /// `c × g` raw Q-values; `NaN` = not yet scored.
+    /// `c × g` raw Q-values.
     q: Vec<f64>,
     /// `c × w` already-answered mask.
-    masked: Vec<bool>,
+    masked: &'m [bool],
     /// Per-annotator additive UCB bonus (`None` when the explorer is
     /// absent or inactive and `score_soft` would return `q` unchanged).
     bonus: Option<Vec<f64>>,
-    c: usize,
     w: usize,
     g: usize,
 }
 
-impl<'n> LazyPairScores<'n> {
-    /// Build the grid: computes object partials, deduplicates identical
-    /// suffix rows into score columns, assembles bound envelopes, and
-    /// derives every column's score upper bound. No column is scored yet.
+impl<'m> DedupPairScores<'m> {
+    /// Deduplicate the annotators' biased first-layer suffix rows by exact
+    /// bit pattern (bit-identical rows produce bit-identical Q-values for
+    /// every object, so they share one score column), then score every
+    /// column against every candidate object in one batched forward.
+    ///
+    /// Declines with `None` when the pool is mostly distinct (more than
+    /// `w / 2` columns, e.g. a long-profiled pool where every annotator
+    /// carries its own quality estimate): the grid's per-pair overhead
+    /// then outweighs its savings and the caller scores densely instead.
+    /// Both backends produce bit-identical selections, so this is purely
+    /// a cost choice.
     pub fn new(
-        net: &'n Network,
+        net: &Network,
         object_parts: &[Vec<f32>],
         rp_rows: Vec<Vec<f32>>,
-        masked: Vec<bool>,
-        keys: Vec<u64>,
+        masked: &'m [bool],
+        keys: &[u64],
         ucb: Option<&UcbExplorer>,
-    ) -> Self {
+        stats: &mut DecideStats,
+    ) -> Option<Self> {
         let c = object_parts.len();
         let w = rp_rows.len();
         debug_assert_eq!(masked.len(), c * w);
         debug_assert_eq!(keys.len(), w);
+        let mut column_of: HashMap<Vec<u32>, usize> = HashMap::new();
+        let mut columns: Vec<Vec<f32>> = Vec::new();
+        let mut group_of = Vec::with_capacity(w);
+        for row in rp_rows {
+            let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+            let col = *column_of.entry(bits).or_insert_with(|| {
+                columns.push(row);
+                columns.len() - 1
+            });
+            group_of.push(col);
+        }
+        let g = columns.len();
+        if 2 * g > w {
+            return None;
+        }
+
         let first = net.first_layer();
+        let act = first.activation();
         let h1 = first.output_dim();
         let mut left = Matrix::zeros(c, OBJECT_PART_DIM);
         for (i, part) in object_parts.iter().enumerate() {
             left.row_mut(i).copy_from_slice(part);
         }
         let lp = first.partial_matmul(&left, 0);
-
-        // Deduplicate suffix rows by exact bit pattern: bit-identical
-        // rows produce bit-identical Q-values for every object, so they
-        // share one score column.
-        let mut column_of: HashMap<Vec<u32>, usize> = HashMap::new();
-        let mut rp: Vec<Vec<f32>> = Vec::new();
-        let mut group_of = Vec::with_capacity(w);
-        for row in rp_rows {
-            let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
-            let col = *column_of.entry(bits).or_insert_with(|| {
-                rp.push(row);
-                rp.len() - 1
-            });
-            group_of.push(col);
+        let mut m = Matrix::zeros(c * g, h1);
+        for ci in 0..c {
+            let lp_row = lp.row(ci);
+            for (col, rp_row) in columns.iter().enumerate() {
+                let dst = m.row_mut(ci * g + col);
+                for h in 0..h1 {
+                    dst[h] = act.apply(lp_row[h] + rp_row[h]);
+                }
+            }
         }
-        let g = rp.len();
+        let out = net.tail_forward_inference(&m);
+        stats.scored_pairs += (c * g) as u64;
+        let q = (0..c * g).map(|r| out.get(r, 0) as f64).collect();
 
         // The UCB adjustment is additive and per-annotator
         // (`score_soft(q, a) == q + bonus_soft(a)`, the identical f64
         // expression), except when the explorer is inactive and
         // `score_soft` returns `q` untouched — mirror that exactly.
-        let bonus: Option<Vec<f64>> = match ucb {
+        let bonus = match ucb {
             Some(u) if u.total() > 0 && u.scale != 0.0 => {
                 Some(keys.iter().map(|&key| u.bonus_soft(key)).collect())
             }
             _ => None,
         };
 
-        // Column envelope of the object partials: for each hidden unit,
-        // the min/max left contribution over the candidate set.
-        let mut env_lo = vec![f32::INFINITY; h1];
-        let mut env_hi = vec![f32::NEG_INFINITY; h1];
-        for i in 0..c {
-            for (h, &v) in lp.row(i).iter().enumerate() {
-                env_lo[h] = env_lo[h].min(v);
-                env_hi[h] = env_hi[h].max(v);
-            }
-        }
-
-        // Per-column raw-Q bound: activation of the enveloped layer-0
-        // pre-activation, propagated through the tail as an interval.
-        let act = first.activation();
-        let mut q_hi = Vec::with_capacity(g);
-        let mut lo_buf = vec![0.0f32; h1];
-        let mut hi_buf = vec![0.0f32; h1];
-        for rp_row in &rp {
-            for h in 0..h1 {
-                lo_buf[h] = act.apply(env_lo[h] + rp_row[h]);
-                hi_buf[h] = act.apply(env_hi[h] + rp_row[h]);
-            }
-            let (_, t_hi) = net.tail_forward_interval(&lo_buf, &hi_buf);
-            q_hi.push(t_hi[0] as f64);
-        }
-
-        // Adjusted bound: raw bound plus the best member bonus (the
-        // adjustment is monotone, so this dominates every member's
-        // adjusted score).
-        let mut ub = q_hi.clone();
-        if let Some(b) = &bonus {
-            let mut best = vec![f64::NEG_INFINITY; g];
-            for (ai, &col) in group_of.iter().enumerate() {
-                best[col] = best[col].max(b[ai]);
-            }
-            for (u, &bb) in ub.iter_mut().zip(&best) {
-                // A column whose members are all masked everywhere still
-                // has finite q_hi; -inf best only if g had no members,
-                // which cannot happen.
-                *u += bb;
-            }
-        }
-
-        let mut order: Vec<usize> = (0..g).collect();
-        order.sort_by(|&a, &b| ub[b].partial_cmp(&ub[a]).unwrap().then(a.cmp(&b)));
-
-        Self {
-            net,
-            lp,
-            rp,
+        Some(Self {
             group_of,
-            ub,
-            q_hi,
-            order,
-            prefix: 0,
-            q: vec![f64::NAN; c * g],
+            q,
             masked,
             bonus,
-            c,
             w,
             g,
-        }
+        })
     }
 
-    /// Number of distinct score columns after deduplication.
-    pub fn column_count(&self) -> usize {
-        self.g
-    }
-
-    /// The barrier: best upper bound among unscored columns (`-inf` once
-    /// everything is scored). Any unscored pair's true adjusted score is
-    /// `<=` this.
-    pub fn barrier(&self) -> f64 {
-        if self.prefix == self.g {
-            f64::NEG_INFINITY
-        } else {
-            self.ub[self.order[self.prefix]]
-        }
-    }
-
-    /// Whether every score column has been computed.
-    pub fn fully_scored(&self) -> bool {
-        self.prefix == self.g
-    }
-
-    /// The adjusted score of one pair: `NaN` if its column is not yet
-    /// scored, `-inf` if masked, the UCB-adjusted Q otherwise.
+    /// The adjusted score of one pair: `-inf` if masked, the UCB-adjusted
+    /// Q otherwise.
     pub fn score_at(&self, ci: usize, ai: usize) -> f64 {
-        let qv = self.q[ci * self.g + self.group_of[ai]];
-        if qv.is_nan() {
-            return f64::NAN;
-        }
         if self.masked[ci * self.w + ai] {
             return f64::NEG_INFINITY;
         }
+        let qv = self.q[ci * self.g + self.group_of[ai]];
         match &self.bonus {
             Some(b) => qv + b[ai],
             None => qv,
         }
-    }
-
-    fn write_q(&mut self, ci: usize, col: usize, q: f32) {
-        debug_assert!(
-            (q as f64) <= self.q_hi[col],
-            "q {q} above its column bound {} (object {ci}, column {col})",
-            self.q_hi[col]
-        );
-        self.q[ci * self.g + col] = q as f64;
-    }
-
-    /// Score columns `order[prefix..target]` against every candidate
-    /// object in one batched layer-0 combine + tail forward.
-    fn extend_prefix(&mut self, target: usize, stats: &mut DecideStats) {
-        debug_assert!(target <= self.g);
-        if target <= self.prefix {
-            return;
-        }
-        let block: Vec<usize> = self.order[self.prefix..target].to_vec();
-        let first = self.net.first_layer();
-        let act = first.activation();
-        let h1 = first.output_dim();
-        let mut m = Matrix::zeros(self.c * block.len(), h1);
-        for (bi, &col) in block.iter().enumerate() {
-            let rp_row = &self.rp[col];
-            for ci in 0..self.c {
-                let lp_row = self.lp.row(ci);
-                let dst = m.row_mut(ci * block.len() + bi);
-                for h in 0..h1 {
-                    dst[h] = act.apply(lp_row[h] + rp_row[h]);
-                }
-            }
-        }
-        let out = self.net.tail_forward_inference(&m);
-        stats.scored_pairs += (self.c * block.len()) as u64;
-        for (bi, &col) in block.iter().enumerate() {
-            for ci in 0..self.c {
-                let q = out.get(ci * block.len() + bi, 0);
-                self.write_q(ci, col, q);
-            }
-        }
-        self.prefix = target;
-    }
-
-    /// Score every still-uncomputed column for one object's row (the
-    /// panel-fill fallback).
-    pub fn score_full_row(&mut self, ci: usize, stats: &mut DecideStats) {
-        let pending: Vec<usize> = (0..self.g)
-            .filter(|&col| self.q[ci * self.g + col].is_nan())
-            .collect();
-        if pending.is_empty() {
-            return;
-        }
-        let first = self.net.first_layer();
-        let act = first.activation();
-        let h1 = first.output_dim();
-        let mut m = Matrix::zeros(pending.len(), h1);
-        let lp_row = self.lp.row(ci);
-        for (bi, &col) in pending.iter().enumerate() {
-            let rp_row = &self.rp[col];
-            let dst = m.row_mut(bi);
-            for h in 0..h1 {
-                dst[h] = act.apply(lp_row[h] + rp_row[h]);
-            }
-        }
-        let out = self.net.tail_forward_inference(&m);
-        stats.scored_pairs += pending.len() as u64;
-        for (bi, &col) in pending.iter().enumerate() {
-            let q = out.get(bi, 0);
-            self.write_q(ci, col, q);
-        }
-    }
-
-    /// The k-th largest finite scored adjusted entry of a row (`-inf`
-    /// when fewer than `k` finite entries are scored).
-    fn kth_largest_scored(&self, ci: usize, k: usize) -> f64 {
-        let mut top: Vec<f64> = Vec::with_capacity(k + 1);
-        for ai in 0..self.w {
-            let s = self.score_at(ci, ai);
-            if s.is_nan() || s == f64::NEG_INFINITY {
-                continue;
-            }
-            let pos = top.partition_point(|&t| t >= s);
-            if pos < k {
-                top.insert(pos, s);
-                top.truncate(k);
-            }
-        }
-        if top.len() < k {
-            f64::NEG_INFINITY
-        } else {
-            top[k - 1]
-        }
-    }
-
-    /// Grow the scored prefix until every object's top-`k` sum is
-    /// provably exact: each row's k-th best scored entry must *strictly*
-    /// exceed the best unscored bound. Strictness matters — an unscored
-    /// annotator with an equal score and a lower index would displace a
-    /// pick under `topk`'s lower-index tie-break.
-    pub fn ensure_exact_sums(&mut self, k: usize, shortlist: usize, stats: &mut DecideStats) {
-        let mut target = shortlist.max(1).min(self.g);
-        loop {
-            self.extend_prefix(target, stats);
-            if self.prefix == self.g {
-                return;
-            }
-            let beta = self.barrier();
-            let mut min_tau = f64::INFINITY;
-            for ci in 0..self.c {
-                let tau = self.kth_largest_scored(ci, k);
-                if tau <= beta {
-                    min_tau = min_tau.min(tau);
-                }
-            }
-            if min_tau == f64::INFINITY {
-                return; // every object strictly clears the barrier
-            }
-            // Extend past every unscored column whose bound reaches the
-            // weakest row's threshold (always at least one step).
-            let mut t = self.prefix + 1;
-            while t < self.g && self.ub[self.order[t]] >= min_tau {
-                t += 1;
-            }
-            target = t;
-        }
-    }
-
-    /// Exact top-`k` score sums per object. Only valid after
-    /// [`ensure_exact_sums`](LazyPairScores::ensure_exact_sums) — the
-    /// barrier guarantees unscored entries cannot reach any row's top-k,
-    /// so substituting `-inf` for them leaves both the top-k set and the
-    /// summation order identical to a fully-scored row.
-    pub fn exact_sums(&self, k: usize) -> Vec<f64> {
-        let mut row_buf = vec![f64::NEG_INFINITY; self.w];
-        (0..self.c)
-            .map(|ci| {
-                for (ai, dst) in row_buf.iter_mut().enumerate() {
-                    let s = self.score_at(ci, ai);
-                    *dst = if s.is_nan() { f64::NEG_INFINITY } else { s };
-                }
-                topk::top_k_sum(&row_buf, k)
-            })
-            .collect()
-    }
-
-    /// Scored finite entries of a row, ranked exactly as
-    /// `topk::top_k_indices(row, w)` would rank them (score descending,
-    /// index ascending on ties, masked entries excluded).
-    pub fn ranked_scored(&self, ci: usize) -> Vec<usize> {
-        let mut scored: Vec<(usize, f64)> = (0..self.w)
-            .filter_map(|ai| {
-                let s = self.score_at(ci, ai);
-                s.is_finite().then_some((ai, s))
-            })
-            .collect();
-        scored.sort_by(|&(a, sa), &(b, sb)| sb.partial_cmp(&sa).unwrap().then(a.cmp(&b)));
-        scored.into_iter().map(|(ai, _)| ai).collect()
     }
 }
 
@@ -627,21 +374,36 @@ mod tests {
         (0..out.rows()).map(|r| out.get(r, 0) as f64).collect()
     }
 
+    /// `w` annotator suffixes cycling through the `base` distinct ones.
+    fn cycled(base: &[Vec<f32>], w: usize) -> Vec<Vec<f32>> {
+        (0..w).map(|i| base[i % base.len()].clone()).collect()
+    }
+
+    /// Score every pair of a fixture through the dedup grid (`None` when
+    /// the grid declines the pool).
+    fn score_grid<'m>(
+        net: &Network,
+        objects: &[Vec<f32>],
+        suffixes: &[Vec<f32>],
+        masked: &'m [bool],
+        ucb: Option<&UcbExplorer>,
+        stats: &mut DecideStats,
+    ) -> Option<DedupPairScores<'m>> {
+        let keys: Vec<u64> = (0..suffixes.len() as u64).collect();
+        let rp = rp_rows(net, suffixes);
+        DedupPairScores::new(net, objects, rp, masked, &keys, ucb, stats)
+    }
+
     #[test]
-    fn lazy_scores_match_exhaustive_bitwise() {
+    fn dedup_scores_match_exhaustive_bitwise() {
         for seed in [1u64, 2, 3] {
-            let (net, objects, suffixes) = fixture(seed, 6, 40);
+            let (net, objects, base) = fixture(seed, 6, 20);
+            let suffixes = cycled(&base, 40);
             let (c, w) = (objects.len(), suffixes.len());
             let reference = exhaustive_reference(&net, &objects, &suffixes);
-            let rp = rp_rows(&net, &suffixes);
-            let keys: Vec<u64> = (0..w as u64).collect();
-            let mut grid = LazyPairScores::new(&net, &objects, rp, vec![false; c * w], keys, None);
+            let masked = vec![false; c * w];
             let mut stats = DecideStats::default();
-            grid.ensure_exact_sums(3, 8, &mut stats);
-            // Force everything scored so every pair can be compared.
-            for ci in 0..c {
-                grid.score_full_row(ci, &mut stats);
-            }
+            let grid = score_grid(&net, &objects, &suffixes, &masked, None, &mut stats).unwrap();
             for ci in 0..c {
                 for ai in 0..w {
                     let got = grid.score_at(ci, ai);
@@ -653,33 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_sums_match_full_scoring_without_scoring_everything() {
-        for seed in [7u64, 8, 9, 10] {
-            let (net, objects, suffixes) = fixture(seed, 5, 120);
-            let (c, w) = (objects.len(), suffixes.len());
-            let reference = exhaustive_reference(&net, &objects, &suffixes);
-            let want: Vec<f64> = (0..c)
-                .map(|ci| topk::top_k_sum(&reference[ci * w..(ci + 1) * w], 3))
-                .collect();
-            let rp = rp_rows(&net, &suffixes);
-            let keys: Vec<u64> = (0..w as u64).collect();
-            let mut grid = LazyPairScores::new(&net, &objects, rp, vec![false; c * w], keys, None);
-            let mut stats = DecideStats::default();
-            grid.ensure_exact_sums(3, 16, &mut stats);
-            let got = grid.exact_sums(3);
-            for ci in 0..c {
-                assert_eq!(got[ci].to_bits(), want[ci].to_bits(), "object {ci}");
-            }
-            assert!(
-                stats.scored_pairs <= (c * w) as u64,
-                "scored {} of {}",
-                stats.scored_pairs,
-                c * w
-            );
-        }
-    }
-
-    #[test]
     fn duplicate_suffix_rows_share_one_forwarded_column() {
         // 90 annotators but only 6 distinct suffixes: tail work must
         // scale with the distinct count while every expanded score stays
@@ -687,30 +422,16 @@ mod tests {
         let (net, objects, base) = fixture(23, 5, 6);
         let w = 90usize;
         let c = objects.len();
-        let suffixes: Vec<Vec<f32>> = (0..w).map(|i| base[i % base.len()].clone()).collect();
+        let suffixes = cycled(&base, w);
         let reference = exhaustive_reference(&net, &objects, &suffixes);
-        let rp = rp_rows(&net, &suffixes);
-        let keys: Vec<u64> = (0..w as u64).collect();
         let mut ucb = UcbExplorer::new(0.5);
         for a in 0..40u64 {
             ucb.record(a % 13);
         }
-        let mut grid =
-            LazyPairScores::new(&net, &objects, rp, vec![false; c * w], keys, Some(&ucb));
-        assert_eq!(grid.column_count(), base.len());
+        let masked = vec![false; c * w];
         let mut stats = DecideStats::default();
-        grid.ensure_exact_sums(2, 4, &mut stats);
-        for ci in 0..c {
-            grid.score_full_row(ci, &mut stats);
-        }
-        // All columns scored, yet tail work is bounded by distinct rows.
-        assert!(grid.fully_scored());
-        assert!(
-            stats.scored_pairs <= (c * base.len()) as u64,
-            "scored {} pairs for {} distinct columns",
-            stats.scored_pairs,
-            base.len()
-        );
+        let grid = score_grid(&net, &objects, &suffixes, &masked, Some(&ucb), &mut stats).unwrap();
+        assert_eq!(stats.scored_pairs, (c * base.len()) as u64);
         for ci in 0..c {
             for ai in 0..w {
                 let got = grid.score_at(ci, ai);
@@ -752,48 +473,33 @@ mod tests {
     }
 
     #[test]
-    fn bounds_dominate_scores_with_masks_and_ucb() {
-        let (net, objects, suffixes) = fixture(13, 4, 30);
+    fn masked_pairs_score_negative_infinity() {
+        let (net, objects, base) = fixture(17, 3, 12);
+        let suffixes = cycled(&base, 25);
         let (c, w) = (objects.len(), suffixes.len());
-        let mut ucb = UcbExplorer::new(1.0);
-        for a in 0..10u64 {
-            ucb.record(a % 4);
-        }
         let mut masked = vec![false; c * w];
-        masked[3] = true;
+        masked[2] = true;
         masked[w + 1] = true;
-        let rp = rp_rows(&net, &suffixes);
-        let keys: Vec<u64> = (0..w as u64).collect();
-        let mut grid = LazyPairScores::new(&net, &objects, rp, masked, keys, Some(&ucb));
         let mut stats = DecideStats::default();
-        grid.ensure_exact_sums(2, 4, &mut stats);
+        let grid = score_grid(&net, &objects, &suffixes, &masked, None, &mut stats).unwrap();
         for ci in 0..c {
-            grid.score_full_row(ci, &mut stats);
+            for ai in 0..w {
+                let s = grid.score_at(ci, ai);
+                assert_eq!(
+                    s == f64::NEG_INFINITY,
+                    masked[ci * w + ai],
+                    "pair ({ci},{ai})"
+                );
+            }
         }
-        // write_q debug-asserts q <= q_hi on every write; reaching here
-        // means every raw Q respected its column bound (adjusted scores
-        // respect ub by construction: best member bonus). Spot-check the
-        // masked pairs.
-        assert_eq!(grid.score_at(0, 3), f64::NEG_INFINITY);
-        assert_eq!(grid.score_at(1, 1), f64::NEG_INFINITY);
     }
 
     #[test]
-    fn ranked_scored_matches_topk_order() {
-        let (net, objects, suffixes) = fixture(17, 3, 25);
-        let (c, w) = (objects.len(), suffixes.len());
-        let rp = rp_rows(&net, &suffixes);
-        let keys: Vec<u64> = (0..w as u64).collect();
-        let mut masked = vec![false; c * w];
-        masked[2] = true;
-        let mut grid = LazyPairScores::new(&net, &objects, rp, masked, keys, None);
+    fn mostly_distinct_pool_is_declined_unscored() {
+        let (net, objects, suffixes) = fixture(5, 4, 10);
+        let masked = vec![false; objects.len() * suffixes.len()];
         let mut stats = DecideStats::default();
-        for ci in 0..c {
-            grid.score_full_row(ci, &mut stats);
-        }
-        for ci in 0..c {
-            let row: Vec<f64> = (0..w).map(|ai| grid.score_at(ci, ai)).collect();
-            assert_eq!(grid.ranked_scored(ci), topk::top_k_indices(&row, w));
-        }
+        assert!(score_grid(&net, &objects, &suffixes, &masked, None, &mut stats).is_none());
+        assert_eq!(stats.scored_pairs, 0);
     }
 }

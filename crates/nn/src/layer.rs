@@ -48,10 +48,9 @@ pub struct Dense {
     /// is the bit-pinned blocked kernel; `Fast` is the SIMD kernel with a
     /// different (documented) reduction order. The decide-path entry
     /// points — [`Dense::forward_inference_outer`]'s partial matmuls,
-    /// [`Dense::partial_matmul`], [`Dense::accumulate_partial`] and
-    /// [`Dense::forward_interval`] — stay on the exact reference op order
-    /// in *both* modes, preserving the first-layer prefix-cache bit
-    /// contract (see DESIGN.md §14).
+    /// [`Dense::partial_matmul`] and [`Dense::accumulate_partial`] — stay
+    /// on the exact reference op order in *both* modes, preserving the
+    /// first-layer prefix-cache bit contract (see DESIGN.md §14).
     mode: NumericMode,
 }
 
@@ -255,45 +254,6 @@ impl Dense {
                 *o += a * b;
             }
         }
-    }
-
-    /// Interval forward: given elementwise bounds `lo[i] <= x[i] <= hi[i]`
-    /// on the input, return bounds on the output that are *sound in f32
-    /// arithmetic* against [`Dense::forward_inference`]'s kernel.
-    ///
-    /// Soundness argument: the kernel accumulates `acc += x[k] * w[k][o]`
-    /// in ascending-`k` order with correctly-rounded ops, and correctly
-    /// rounded `+`/`*` are monotone in each argument. Accumulating the
-    /// sign-selected endpoint (`hi` for positive weights, `lo` for
-    /// negative) in the same order therefore stays `>=` (resp. `<=`) the
-    /// true accumulation after every step, including steps the kernel
-    /// skips for `x[k] == 0.0` (skipping adds exact zero; the selected
-    /// endpoint's term has the sign of the bound being grown). Bias
-    /// addition and the (monotone) activation preserve the ordering.
-    pub fn forward_interval(&self, lo: &[f32], hi: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        assert_eq!(lo.len(), self.input_dim(), "interval width mismatch");
-        assert_eq!(hi.len(), self.input_dim(), "interval width mismatch");
-        let h = self.output_dim();
-        let mut out_lo = vec![0.0f32; h];
-        let mut out_hi = vec![0.0f32; h];
-        for k in 0..lo.len() {
-            let w_row = self.w.row(k);
-            let (l, u) = (lo[k], hi[k]);
-            for o in 0..h {
-                let w = w_row[o];
-                let (tl, tu) = if w >= 0.0 { (l, u) } else { (u, l) };
-                out_lo[o] += tl * w;
-                out_hi[o] += tu * w;
-            }
-        }
-        let act = self.act;
-        for o in 0..h {
-            out_lo[o] += self.b[o];
-            out_hi[o] += self.b[o];
-            out_lo[o] = act.apply(out_lo[o]);
-            out_hi[o] = act.apply(out_hi[o]);
-        }
-        (out_lo, out_hi)
     }
 
     /// Backward pass: given `d_out = dL/dy`, accumulate `dL/dW`, `dL/db`

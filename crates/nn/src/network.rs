@@ -127,8 +127,8 @@ impl Network {
         h
     }
 
-    /// The first layer — the decide path's activation cache and interval
-    /// bounds work against its weights directly.
+    /// The first layer — the decide path's activation cache works against
+    /// its weights directly.
     pub fn first_layer(&self) -> &Dense {
         &self.layers[0]
     }
@@ -144,21 +144,6 @@ impl Network {
             h = layer.forward_inference(&h);
         }
         h
-    }
-
-    /// Propagate elementwise bounds on the first layer's *activated*
-    /// output through layers `1..` (see [`Dense::forward_interval`] for
-    /// the f32 soundness argument). Returns `(lo, hi)` bounds on the
-    /// network output.
-    pub fn tail_forward_interval(&self, lo: &[f32], hi: &[f32]) -> (Vec<f32>, Vec<f32>) {
-        let mut lo = lo.to_vec();
-        let mut hi = hi.to_vec();
-        for layer in &self.layers[1..] {
-            let (l, h) = layer.forward_interval(&lo, &hi);
-            lo = l;
-            hi = h;
-        }
-        (lo, hi)
     }
 
     /// Backpropagate `d_out = dL/d(output)`, accumulating layer gradients.
@@ -402,60 +387,6 @@ mod tests {
                 reference.get(r, 0).to_bits(),
                 "row {r}"
             );
-        }
-    }
-
-    #[test]
-    fn interval_bounds_contain_all_pair_outputs() {
-        // Bound soundness in f32: for every left row, the interval built
-        // from the column envelope of the left partials must contain the
-        // exact kernel output for every (left, right) pair.
-        for seed in 40..48u64 {
-            let mut rng = seeded(seed);
-            let net = Network::mlp(&[9, 12, 6, 1], Activation::Relu, &mut rng);
-            let mut randf = |n: usize| -> Vec<f32> {
-                (0..n).map(|_| rng.random::<f32>() * 2.0 - 1.0).collect()
-            };
-            let left = Matrix::from_vec(9, 5, randf(45));
-            let right = Matrix::from_vec(5, 4, {
-                let mut v = randf(20);
-                v[3] = 0.0; // exercise the kernel's zero-skip
-                v[7] = 0.0;
-                v
-            });
-            let reference = net.forward_inference_outer(&left, &right);
-
-            let first = net.first_layer();
-            let lp = first.partial_matmul(&left, 0);
-            let h1 = first.output_dim();
-            let mut env_lo = vec![f32::INFINITY; h1];
-            let mut env_hi = vec![f32::NEG_INFINITY; h1];
-            for i in 0..lp.rows() {
-                for (h, &v) in lp.row(i).iter().enumerate() {
-                    env_lo[h] = env_lo[h].min(v);
-                    env_hi[h] = env_hi[h].max(v);
-                }
-            }
-            for j in 0..right.rows() {
-                let mut rp = vec![0.0f32; h1];
-                first.accumulate_partial(&mut rp, right.row(j), left.cols());
-                for (v, b) in rp.iter_mut().zip(first.bias()) {
-                    *v += b;
-                }
-                let act = first.activation();
-                let l0_lo: Vec<f32> = (0..h1).map(|h| act.apply(env_lo[h] + rp[h])).collect();
-                let l0_hi: Vec<f32> = (0..h1).map(|h| act.apply(env_hi[h] + rp[h])).collect();
-                let (t_lo, t_hi) = net.tail_forward_interval(&l0_lo, &l0_hi);
-                for i in 0..left.rows() {
-                    let q = reference.get(i * right.rows() + j, 0);
-                    assert!(
-                        t_lo[0] <= q && q <= t_hi[0],
-                        "seed {seed} pair ({i},{j}): {q} outside [{}, {}]",
-                        t_lo[0],
-                        t_hi[0]
-                    );
-                }
-            }
         }
     }
 

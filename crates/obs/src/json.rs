@@ -152,6 +152,7 @@ pub fn write_num(out: &mut String, v: f64) {
 /// Parse a complete JSON document from `text`.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -165,6 +166,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -328,12 +330,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8 in string")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of unescaped bytes up to the next
+                    // `"` or `\\`. Both are ASCII, so the run ends on a char
+                    // boundary of the (already valid UTF-8) input text.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -376,6 +380,34 @@ mod tests {
         line.push('}');
         let v = parse(&line).unwrap();
         assert_eq!(v.get("s").unwrap().as_str(), Some(nasty));
+    }
+
+    #[test]
+    fn multibyte_characters_next_to_escapes_round_trip() {
+        for s in [
+            "é\"ü",
+            "\\日本",
+            "naïve\n",
+            "tail ünïcödé",
+            "emoji 🦀",
+            "🦀",
+            "\u{1}é",
+            "ß\t\"→\\",
+        ] {
+            let mut doc = String::new();
+            write_escaped(&mut doc, s);
+            assert_eq!(parse(&doc).unwrap().as_str(), Some(s), "{doc}");
+        }
+        // Raw multibyte text right before the closing quote and right
+        // after an escape, as a hand-written document.
+        let v = parse("[\"a\\né\",\"\\u00e9ü\",\"ü\"]").unwrap();
+        let items: Vec<&str> = v
+            .as_arr()
+            .unwrap()
+            .iter()
+            .map(|x| x.as_str().unwrap())
+            .collect();
+        assert_eq!(items, ["a\né", "éü", "ü"]);
     }
 
     #[test]

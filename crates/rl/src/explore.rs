@@ -77,9 +77,9 @@ impl UcbExplorer {
 
     /// The additive bonus term of [`UcbExplorer::score_soft`]:
     /// `score_soft(q, a) == q + bonus_soft(a)` for every finite `q`, with
-    /// the identical floating-point expression — the decide path's
-    /// shortlist bounds rely on the bonus being a per-action constant it
-    /// can add to a Q upper bound.
+    /// the identical floating-point expression — the decide path's column
+    /// deduplication relies on this to re-apply the bonus per annotator
+    /// to a Q-value shared by its whole column.
     pub fn bonus_soft(&self, action: u64) -> f64 {
         if self.total == 0 || self.scale == 0.0 {
             return 0.0;

@@ -40,17 +40,25 @@ impl Ord for Scored {
 /// entirely; NaN panics.
 pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
     assert!(scores.iter().all(|s| !s.is_nan()), "NaN score in top-k");
-    let mut heap: BinaryHeap<Reverse<Scored>> = BinaryHeap::with_capacity(k + 1);
-    for (index, &score) in scores.iter().enumerate() {
-        if score == f64::NEG_INFINITY || k == 0 {
-            continue;
+    let scored = scores
+        .iter()
+        .enumerate()
+        .filter(|(_, &score)| score != f64::NEG_INFINITY)
+        .map(|(index, &score)| Scored { score, index });
+    let mut out: Vec<Scored> = if k >= scores.len() {
+        // Every entry is kept (a full ranking): the sort below alone
+        // orders them, a heap would only add work.
+        scored.collect()
+    } else {
+        let mut heap: BinaryHeap<Reverse<Scored>> = BinaryHeap::with_capacity(k + 1);
+        for s in scored {
+            heap.push(Reverse(s));
+            if heap.len() > k {
+                heap.pop();
+            }
         }
-        heap.push(Reverse(Scored { score, index }));
-        if heap.len() > k {
-            heap.pop();
-        }
-    }
-    let mut out: Vec<Scored> = heap.into_iter().map(|Reverse(s)| s).collect();
+        heap.into_iter().map(|Reverse(s)| s).collect()
+    };
     out.sort_by(|a, b| b.cmp(a));
     out.into_iter().map(|s| s.index).collect()
 }
@@ -100,6 +108,7 @@ mod tests {
         assert_eq!(top_k_indices(&scores, 2), vec![1, 2]);
         let scores = [3.0, 3.0, 3.0];
         assert_eq!(top_k_indices(&scores, 2), vec![0, 1]);
+        assert_eq!(top_k_indices(&scores, 3), vec![0, 1, 2]);
     }
 
     #[test]

@@ -35,16 +35,21 @@ use crowdrl_core::agent::{AgentState, Assignment};
 use crowdrl_core::IterationStats;
 use crowdrl_inference::{EngineSnapshot, InferenceResult};
 use crowdrl_nn::ClassifierSnapshot;
-use crowdrl_obs::json::{parse, Value};
+use crowdrl_obs::json::parse;
+/// The JSON value type the codec (and [`record_codec!`]) produces.
+pub use crowdrl_obs::json::Value;
 use crowdrl_rl::{DqnSnapshot, Transition};
+/// The result type of every decoder (and of [`record_codec!`]'s).
+pub use crowdrl_types::Result;
 use crowdrl_types::{
     AnnotatorId, Answer, AnswerSet, AssignmentId, ClassId, ConfusionMatrix, LabelState, ObjectId,
-    Result, SimTime,
+    SimTime,
 };
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Format version stamped into every checkpoint.
-const VERSION: u64 = 1;
+const VERSION: usize = 1;
 
 /// The pump's complete service state at a watermark boundary.
 #[derive(Debug, Clone)]
@@ -118,15 +123,7 @@ impl RunCheckpoint {
     /// Serialize to a single deterministic JSON document: the same
     /// checkpoint always renders the same bytes.
     pub fn encode(&self) -> String {
-        obj([
-            ("version", Value::Num(VERSION as f64)),
-            ("fingerprint", hex_u64(self.fingerprint)),
-            ("objects", num(self.objects)),
-            ("annotators", num(self.annotators)),
-            ("pump", enc_pump(&self.pump)),
-            ("core", enc_core(&self.core)),
-        ])
-        .render()
+        versioned(enc_run(self), VERSION).render()
     }
 
     /// Parse a document produced by [`encode`](Self::encode). Anything
@@ -134,19 +131,13 @@ impl RunCheckpoint {
     /// shapes — is a [`ServeError::CorruptCheckpoint`].
     pub fn decode(text: &str) -> Result<Self> {
         let v = parse(text).map_err(|e| corrupt(format!("bad JSON: {e}")))?;
-        let version = get_u64_plain(&v, "version")?;
+        let version = get_usize(&v, "version")?;
         if version != VERSION {
             return Err(corrupt(format!(
                 "unsupported checkpoint version {version} (expected {VERSION})"
             )));
         }
-        Ok(Self {
-            fingerprint: get_hex_u64(&v, "fingerprint")?,
-            objects: get_usize(&v, "objects")?,
-            annotators: get_usize(&v, "annotators")?,
-            pump: dec_pump(field(&v, "pump")?)?,
-            core: dec_core(field(&v, "core")?)?,
-        })
+        dec_run(&v)
     }
 }
 
@@ -155,7 +146,198 @@ fn corrupt(msg: impl Into<String>) -> crowdrl_types::Error {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoders / decoders
+// Record tables
+// ---------------------------------------------------------------------------
+
+/// Generate a record struct's encoder and decoder from one field table.
+///
+/// Each row names the JSON key, the struct field and the field's codec
+/// pair: an encoder taking the field by reference, and a decoder
+/// `(object, key) -> Result<field>`. Both directions come from the same
+/// rows, so encode and decode cannot drift apart. Row order does not
+/// change the bytes: [`obj`] renders keys in `BTreeMap` order.
+#[macro_export]
+macro_rules! record_codec {
+    ($vis:vis $ty:ident: $enc:ident / $dec:ident {
+        $($key:literal => $field:ident: $fenc:expr, $fdec:expr;)+
+    }) => {
+        #[doc = concat!("Encode a [`", stringify!($ty), "`] record.")]
+        $vis fn $enc(r: &$ty) -> $crate::checkpoint::Value {
+            $crate::checkpoint::obj([$(($key, ($fenc)(&r.$field))),+])
+        }
+
+        #[doc = concat!("Decode a [`", stringify!($ty), "`] record.")]
+        $vis fn $dec(v: &$crate::checkpoint::Value) -> $crate::checkpoint::Result<$ty> {
+            Ok($ty {
+                $($field: ($fdec)(v, $key)?),+
+            })
+        }
+    };
+}
+
+record_codec! {
+    RunCheckpoint: enc_run / dec_run {
+        "fingerprint" => fingerprint: hex_u64, get_hex_u64;
+        "objects" => objects: num, get_usize;
+        "annotators" => annotators: num, get_usize;
+        "pump" => pump: enc_pump, get_record(dec_pump);
+        "core" => core: enc_core, get_record(dec_core);
+    }
+}
+
+record_codec! {
+    pub AssignmentRecord: enc_record / dec_record {
+        "id" => id: assignment_id, get_assignment_id;
+        "object" => object: object_id, get_object_id;
+        "annotator" => annotator: annotator_id, get_annotator_id;
+        "cost" => cost: bits_f64, get_f64_bits;
+        "dispatched_at" => dispatched_at: sim_time, get_sim_time;
+        "deadline" => deadline: sim_time, get_sim_time;
+        "status" => status: assignment_status, get_assignment_status;
+    }
+}
+
+record_codec! {
+    PumpCheckpoint: enc_pump / dec_pump {
+        "now" => now: sim_time, get_sim_time;
+        "next_seq" => next_seq: hex_u64, get_hex_u64;
+        "events" => events: list(enc_event), get_list(dec_event);
+        "records" => records: list(enc_record), get_list(dec_record);
+        "budget_total" => budget_total: bits_f64, get_f64_bits;
+        "budget_spent" => budget_spent: bits_f64, get_f64_bits;
+        "budget_charges" => budget_charges: num, get_usize;
+        "answers" => answers: enc_answers, dec_answers;
+        "latencies" => latencies: f64s, get_f64s;
+        "dispatched" => dispatched: num, get_usize;
+        "delivered" => delivered: num, get_usize;
+        "rejected" => rejected: num, get_usize;
+        "timeouts" => timeouts: num, get_usize;
+        "requeues" => requeues: num, get_usize;
+        "refreshes" => refreshes: num, get_usize;
+        "events_processed" => events_processed: num, get_usize;
+        "trace" => trace: list(enc_trace_event), get_list(dec_trace_event);
+        "labels_by_id" => labels_by_id: opt_classes, get_opt_classes;
+        "requeue_count" => requeue_count: usizes, arr_usize;
+        "abandoned" => abandoned: object_ids, get_object_ids;
+        "backoff_until" => backoff_until: f64s, get_f64s;
+        "answers_since" => answers_since: num, get_usize;
+        "last_refresh" => last_refresh: sim_time, get_sim_time;
+    }
+}
+
+record_codec! {
+    ClassifierSnapshot: enc_classifier / dec_classifier {
+        "params" => params: f32s, get_f32s;
+        "opt_state" => opt_state: opt_slots, get_opt_slots;
+        "trained" => trained: boolean, get_bool;
+        "generation" => generation: hex_u64, get_hex_u64;
+    }
+}
+
+record_codec! {
+    Transition: enc_transition / dec_transition {
+        "sa" => state_action: f32s, get_f32s;
+        "reward" => reward: bits_f32, get_f32_bits;
+        "next" => next_candidates: f32_rows, get_f32_rows;
+        "terminal" => terminal: boolean, get_bool;
+    }
+}
+
+record_codec! {
+    DqnSnapshot: enc_dqn / dec_dqn {
+        "online" => online: f32s, get_f32s;
+        "target" => target: f32s, get_f32s;
+        "opt_state" => opt_state: opt_slots, get_opt_slots;
+        "replay" => replay: list(enc_transition), get_list(dec_transition);
+        "replay_head" => replay_head: num, get_usize;
+        "replay_pushed" => replay_pushed: num, get_usize;
+        "train_steps" => train_steps: num, get_usize;
+    }
+}
+
+record_codec! {
+    AgentState: enc_agent / dec_agent {
+        "dqn" => dqn: enc_dqn, get_record(dec_dqn);
+        "ucb_counts" => ucb_counts: opt_hex_pairs, get_maybe(get_hex_pairs);
+        "eps_steps" => eps_steps: maybe(hex_u64), get_maybe(get_hex_u64);
+    }
+}
+
+record_codec! {
+    Assignment: enc_assignment / dec_assignment {
+        "object" => object: object_id, get_object_id;
+        "annotators" => annotators: annotator_ids, get_annotator_ids;
+        "embeddings" => embeddings: f32_rows, get_f32_rows;
+    }
+}
+
+record_codec! {
+    PendingBatchState: enc_pending / dec_pending {
+        "assignments" => assignments: list(enc_assignment), get_list(dec_assignment);
+        "conf_before" => conf_before: confidences, get_confidences;
+        "phi_guesses" => phi_guesses: guesses, get_guesses;
+    }
+}
+
+record_codec! {
+    pub IterationStats: enc_stats / dec_stats {
+        "iteration" => iteration: num, get_usize;
+        "enriched" => enriched: num, get_usize;
+        "selected" => selected: num, get_usize;
+        "answers" => answers: num, get_usize;
+        "spend" => spend: bits_f64, get_f64_bits;
+        "reward" => reward: bits_f64, get_f64_bits;
+        "labelled_total" => labelled_total: num, get_usize;
+        "td_loss" => td_loss: maybe(bits_f32), get_maybe(get_f32_bits);
+    }
+}
+
+record_codec! {
+    InferenceResult: enc_result / dec_result {
+        "posteriors" => posteriors: opt_f64_rows, get_opt_f64_rows;
+        "confusions" => confusions: list(enc_confusion), get_list(dec_confusion);
+        "class_prior" => class_prior: f64s, get_f64s;
+        "iterations" => iterations: num, get_usize;
+        "log_likelihood" => log_likelihood: bits_f64, get_f64_bits;
+    }
+}
+
+record_codec! {
+    EngineSnapshot: enc_engine / dec_engine {
+        "last" => last: enc_result, get_record(dec_result);
+        "answer_counts" => answer_counts: usizes, arr_usize;
+        "total_answers" => total_answers: num, get_usize;
+        "moved" => moved: booleans, get_booleans;
+        "answered" => answered: usizes, arr_usize;
+        "warm_calls_since_full" => warm_calls_since_full: num, get_usize;
+        "calls" => calls: hex_u64, get_hex_u64;
+    }
+}
+
+record_codec! {
+    pub CoreState: enc_core / dec_core {
+        "classifier" => classifier: enc_classifier, get_record(dec_classifier);
+        "agent" => agent: enc_agent, get_record(dec_agent);
+        "labelled" => labelled: list(enc_label_state), get_list(dec_label_state);
+        "qualities" => qualities: f64s, get_f64s;
+        "prev_confidence" => prev_confidence: opt_f64_bits, get_opt_f64_bits;
+        "outstanding" => outstanding: list(enc_pending), get_list(dec_pending);
+        "trace" => trace: list(enc_stats), get_list(dec_stats);
+        "trust_agree" => trust_agree: bits_f64, get_f64_bits;
+        "trust_scored" => trust_scored: bits_f64, get_f64_bits;
+        "phi_trust" => phi_trust: bits_f64, get_f64_bits;
+        "fixed_allowance" => fixed_allowance: maybe(bits_f64), get_maybe(get_f64_bits);
+        "last_spent" => last_spent: bits_f64, get_f64_bits;
+        "refresh_index" => refresh_index: num, get_usize;
+        "engine" => engine: maybe(enc_engine), get_maybe(get_record(dec_engine));
+        "rng" => rng: hex_u64s, get_rng;
+        "quarantine" => quarantine: list(enc_quarantine_status), get_list(dec_quarantine_status);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Field codecs: encoders take the field by reference (or by value where
+// `Borrow` allows both), decoders read `key` from an object
 // ---------------------------------------------------------------------------
 
 /// Build a JSON object in deterministic (BTreeMap) key order.
@@ -169,24 +351,34 @@ pub fn obj<const N: usize>(entries: [(&str, Value); N]) -> Value {
 }
 
 /// A small exact count as a plain JSON number.
-pub fn num(n: usize) -> Value {
+pub fn num(n: impl Borrow<usize>) -> Value {
     // Plain JSON numbers are exact below 2^53 — far beyond any count here.
-    Value::Num(n as f64)
+    Value::Num(*n.borrow() as f64)
 }
 
 /// A `u64` as a 16-hex-digit string (JSON numbers are only exact below 2^53).
-pub fn hex_u64(v: u64) -> Value {
-    Value::Str(format!("{v:016x}"))
+pub fn hex_u64(v: impl Borrow<u64>) -> Value {
+    Value::Str(format!("{:016x}", v.borrow()))
 }
 
 /// An `f64` as its 16-hex-digit IEEE bit pattern.
-pub fn bits_f64(v: f64) -> Value {
-    Value::Str(format!("{:016x}", v.to_bits()))
+pub fn bits_f64(v: impl Borrow<f64>) -> Value {
+    Value::Str(format!("{:016x}", v.borrow().to_bits()))
 }
 
 /// An `f32` as its 8-hex-digit IEEE bit pattern.
-pub fn bits_f32(v: f32) -> Value {
-    Value::Str(format!("{:08x}", v.to_bits()))
+pub fn bits_f32(v: impl Borrow<f32>) -> Value {
+    Value::Str(format!("{:08x}", v.borrow().to_bits()))
+}
+
+/// A `SimTime` as its `f64` bit pattern.
+pub fn sim_time(t: impl Borrow<SimTime>) -> Value {
+    bits_f64(t.borrow().as_f64())
+}
+
+/// A bool as a JSON bool.
+pub fn boolean(b: impl Borrow<bool>) -> Value {
+    Value::Bool(*b.borrow())
 }
 
 /// Concatenated 16-hex-digit bit patterns, one per f64.
@@ -207,6 +399,37 @@ pub fn f32s(xs: &[f32]) -> Value {
     Value::Str(s)
 }
 
+/// Counts as an array of plain JSON numbers.
+pub fn usizes(xs: &[usize]) -> Value {
+    Value::Arr(xs.iter().map(num).collect())
+}
+
+/// `u64`s as an array of 16-hex-digit strings.
+pub fn hex_u64s(xs: &[u64]) -> Value {
+    Value::Arr(xs.iter().map(hex_u64).collect())
+}
+
+/// Encode a list of records, each with its record encoder.
+pub fn list<'a, T: 'a>(enc: impl Fn(&'a T) -> Value) -> impl Fn(&'a [T]) -> Value {
+    move |xs: &'a [T]| Value::Arr(xs.iter().map(&enc).collect())
+}
+
+/// Encode an optional field, `Null` when absent.
+fn maybe<'a, T: 'a>(enc: impl Fn(&'a T) -> Value) -> impl Fn(&'a Option<T>) -> Value {
+    move |x: &'a Option<T>| x.as_ref().map_or(Value::Null, &enc)
+}
+
+/// Stamp a format version into an encoded document.
+pub fn versioned(doc: Value, version: usize) -> Value {
+    match doc {
+        Value::Obj(mut map) => {
+            map.insert("version".into(), num(version));
+            Value::Obj(map)
+        }
+        other => other,
+    }
+}
+
 /// Look up a required object field.
 pub fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value> {
     v.get(key)
@@ -222,11 +445,6 @@ pub fn get_usize(v: &Value, key: &str) -> Result<usize> {
         return Err(corrupt(format!("field {key:?} is not a valid count: {n}")));
     }
     Ok(n as usize)
-}
-
-/// Decode a `u64` stored as a plain JSON number.
-pub fn get_u64_plain(v: &Value, key: &str) -> Result<u64> {
-    Ok(get_usize(v, key)? as u64)
 }
 
 /// Parse exactly 16 hex digits into a `u64`.
@@ -270,6 +488,14 @@ pub fn get_arr<'v>(v: &'v Value, key: &str) -> Result<&'v [Value]> {
 /// Decode an `f64` field stored as its bit pattern.
 pub fn get_f64_bits(v: &Value, key: &str) -> Result<f64> {
     Ok(f64::from_bits(get_hex_u64(v, key)?))
+}
+
+/// Decode an `f32` field stored as its bit pattern.
+fn get_f32_bits(v: &Value, key: &str) -> Result<f32> {
+    let s = get_str(v, key)?;
+    u32::from_str_radix(s, 16)
+        .map(f32::from_bits)
+        .map_err(|_| corrupt(format!("{key}: bad f32 bits {s:?}")))
 }
 
 /// Parse a concatenated 16-hex-chunk string into `f64`s.
@@ -322,23 +548,294 @@ pub fn opt<T>(value: Option<T>, enc: impl Fn(T) -> Value) -> Value {
 
 /// Decode an array-of-counts field.
 pub fn arr_usize(v: &Value, key: &str) -> Result<Vec<usize>> {
+    get_elems(v, key, count_of)
+}
+
+/// Decode an array field of records with their record decoder.
+pub fn get_list<T>(dec: impl Fn(&Value) -> Result<T>) -> impl Fn(&Value, &str) -> Result<Vec<T>> {
+    move |v: &Value, key: &str| get_arr(v, key)?.iter().map(&dec).collect()
+}
+
+/// Decode a nested record field with its record decoder.
+pub fn get_record<T>(dec: impl Fn(&Value) -> Result<T>) -> impl Fn(&Value, &str) -> Result<T> {
+    move |v: &Value, key: &str| dec(field(v, key)?)
+}
+
+/// Decode an optional field: `Null` is `None`, anything else goes to the
+/// field decoder.
+fn get_maybe<T>(
+    dec: impl Fn(&Value, &str) -> Result<T>,
+) -> impl Fn(&Value, &str) -> Result<Option<T>> {
+    move |v: &Value, key: &str| match field(v, key)? {
+        Value::Null => Ok(None),
+        _ => dec(v, key).map(Some),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Ids, tuples and optional elements
+// ---------------------------------------------------------------------------
+
+/// An assignment id as 16 hex digits.
+fn assignment_id(id: &AssignmentId) -> Value {
+    hex_u64(id.0)
+}
+
+fn get_assignment_id(v: &Value, key: &str) -> Result<AssignmentId> {
+    get_hex_u64(v, key).map(AssignmentId)
+}
+
+/// An object id as a plain JSON number.
+fn object_id(o: &ObjectId) -> Value {
+    num(o.0)
+}
+
+fn get_object_id(v: &Value, key: &str) -> Result<ObjectId> {
+    get_usize(v, key).map(ObjectId)
+}
+
+/// An annotator id as a plain JSON number.
+fn annotator_id(a: &AnnotatorId) -> Value {
+    num(a.0)
+}
+
+fn get_annotator_id(v: &Value, key: &str) -> Result<AnnotatorId> {
+    get_usize(v, key).map(AnnotatorId)
+}
+
+/// Object ids as an array of plain JSON numbers.
+pub fn object_ids(xs: &[ObjectId]) -> Value {
+    Value::Arr(xs.iter().map(object_id).collect())
+}
+
+/// Decode an array-of-object-ids field.
+pub fn get_object_ids(v: &Value, key: &str) -> Result<Vec<ObjectId>> {
+    Ok(arr_usize(v, key)?.into_iter().map(ObjectId).collect())
+}
+
+fn annotator_ids(xs: &[AnnotatorId]) -> Value {
+    Value::Arr(xs.iter().map(annotator_id).collect())
+}
+
+fn get_annotator_ids(v: &Value, key: &str) -> Result<Vec<AnnotatorId>> {
+    Ok(arr_usize(v, key)?.into_iter().map(AnnotatorId).collect())
+}
+
+/// Optional class labels as an array of numbers and `null`s.
+pub fn opt_classes(xs: &[Option<ClassId>]) -> Value {
+    Value::Arr(xs.iter().map(|l| opt(*l, |c| num(c.0))).collect())
+}
+
+fn get_opt_classes(v: &Value, key: &str) -> Result<Vec<Option<ClassId>>> {
+    get_elems(v, key, |x| match x {
+        Value::Null => Some(None),
+        x => count_of(x).map(|c| Some(ClassId(c))),
+    })
+}
+
+/// Optional `f64`s as an array of bit patterns and `null`s.
+fn opt_f64_bits(xs: &[Option<f64>]) -> Value {
+    Value::Arr(xs.iter().map(|p| opt(*p, bits_f64)).collect())
+}
+
+fn get_opt_f64_bits(v: &Value, key: &str) -> Result<Vec<Option<f64>>> {
+    get_elems(v, key, |x| match x {
+        Value::Null => Some(None),
+        x => hex_of(x).map(|b| Some(f64::from_bits(b))),
+    })
+}
+
+/// Optional `f64` rows as an array of concatenated bit patterns and
+/// `null`s.
+fn opt_f64_rows(rows: &[Option<Vec<f64>>]) -> Value {
+    Value::Arr(rows.iter().map(|p| opt(p.as_deref(), f64s)).collect())
+}
+
+fn get_opt_f64_rows(v: &Value, key: &str) -> Result<Vec<Option<Vec<f64>>>> {
+    get_elems(v, key, |x| match x {
+        Value::Null => Some(None),
+        x => parse_f64s(x.as_str()?, key).ok().map(Some),
+    })
+}
+
+/// `f32` rows as an array of concatenated bit patterns.
+fn f32_rows(rows: &[Vec<f32>]) -> Value {
+    Value::Arr(rows.iter().map(|r| f32s(r)).collect())
+}
+
+fn get_f32_rows<C: FromIterator<Vec<f32>>>(v: &Value, key: &str) -> Result<C> {
+    get_elems(v, key, |x| parse_f32s(x.as_str()?, key).ok())
+}
+
+fn booleans(xs: &[bool]) -> Value {
+    Value::Arr(xs.iter().map(boolean).collect())
+}
+
+fn get_booleans(v: &Value, key: &str) -> Result<Vec<bool>> {
+    get_elems(v, key, |x| match x {
+        Value::Bool(b) => Some(*b),
+        _ => None,
+    })
+}
+
+fn get_rng(v: &Value, key: &str) -> Result<[u64; 4]> {
+    let words: Vec<u64> = get_elems(v, key, hex_of)?;
+    words
+        .try_into()
+        .map_err(|_| corrupt(format!("{key}: expected exactly 4 words")))
+}
+
+/// Optional `(u64, u64)` pairs: `null`, or 2-element arrays of
+/// 16-hex-digit strings.
+fn opt_hex_pairs(pairs: &Option<Vec<(u64, u64)>>) -> Value {
+    opt(pairs.as_deref(), |pairs| {
+        Value::Arr(
+            pairs
+                .iter()
+                .map(|&(n, c)| Value::Arr(vec![hex_u64(n), hex_u64(c)]))
+                .collect(),
+        )
+    })
+}
+
+fn get_hex_pairs(v: &Value, key: &str) -> Result<Vec<(u64, u64)>> {
+    get_elems(v, key, |p| match p.as_arr()? {
+        [n, c] => Some((hex_of(n)?, hex_of(c)?)),
+        _ => None,
+    })
+}
+
+/// Per-object confidences as `[object, f64 bits]` pairs.
+fn confidences(pairs: &[(ObjectId, f64)]) -> Value {
+    Value::Arr(
+        pairs
+            .iter()
+            .map(|&(o, c)| Value::Arr(vec![num(o.0), bits_f64(c)]))
+            .collect(),
+    )
+}
+
+fn get_confidences(v: &Value, key: &str) -> Result<Vec<(ObjectId, f64)>> {
+    get_elems(v, key, |p| match p.as_arr()? {
+        [o, c] => Some((ObjectId(count_of(o)?), f64::from_bits(hex_of(c)?))),
+        _ => None,
+    })
+}
+
+/// Per-object class guesses as `[object, class]` pairs.
+fn guesses(pairs: &[(ObjectId, usize)]) -> Value {
+    Value::Arr(
+        pairs
+            .iter()
+            .map(|&(o, g)| Value::Arr(vec![num(o.0), num(g)]))
+            .collect(),
+    )
+}
+
+fn get_guesses(v: &Value, key: &str) -> Result<Vec<(ObjectId, usize)>> {
+    get_elems(v, key, |p| match p.as_arr()? {
+        [o, g] => Some((ObjectId(count_of(o)?), count_of(g)?)),
+        _ => None,
+    })
+}
+
+/// Decode an array field element by element; `elem` returns `None` for a
+/// malformed element.
+fn get_elems<T, C: FromIterator<T>>(
+    v: &Value,
+    key: &str,
+    elem: impl Fn(&Value) -> Option<T>,
+) -> Result<C> {
     get_arr(v, key)?
         .iter()
-        .map(|x| {
-            let n = x
-                .as_f64()
-                .ok_or_else(|| corrupt(format!("{key}: non-numeric element")))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(corrupt(format!("{key}: bad count {n}")));
-            }
-            Ok(n as usize)
+        .enumerate()
+        .map(|(i, x)| elem(x).ok_or_else(|| corrupt(format!("{key}[{i}] is malformed"))))
+        .collect()
+}
+
+/// A non-negative integral JSON number.
+fn count_of(x: &Value) -> Option<usize> {
+    x.as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as usize)
+}
+
+/// A 16-hex-digit string.
+fn hex_of(x: &Value) -> Option<u64> {
+    parse_hex_u64(x.as_str()?, "").ok()
+}
+
+/// Per-parameter-tensor Adam state: first moment, second moment, step.
+type OptSlot = (Vec<f32>, Vec<f32>, u64);
+
+fn opt_slots(state: &[OptSlot]) -> Value {
+    Value::Arr(
+        state
+            .iter()
+            .map(|(m, v, t)| obj([("m", f32s(m)), ("v", f32s(v)), ("t", hex_u64(t))]))
+            .collect(),
+    )
+}
+
+fn get_opt_slots(v: &Value, key: &str) -> Result<Vec<OptSlot>> {
+    get_arr(v, key)?
+        .iter()
+        .map(|slot| {
+            Ok((
+                get_f32s(slot, "m")?,
+                get_f32s(slot, "v")?,
+                get_hex_u64(slot, "t")?,
+            ))
         })
         .collect()
 }
 
+fn enc_confusion(m: &ConfusionMatrix) -> Value {
+    let k = m.num_classes();
+    Value::Arr(
+        (0..k)
+            .map(|t| {
+                let row: Vec<f64> = (0..k).map(|r| m.get(ClassId(t), ClassId(r))).collect();
+                f64s(&row)
+            })
+            .collect(),
+    )
+}
+
+fn dec_confusion(v: &Value) -> Result<ConfusionMatrix> {
+    let rows = v
+        .as_arr()
+        .and_then(|rows| {
+            rows.iter()
+                .map(|row| parse_f64s(row.as_str()?, "confusion").ok())
+                .collect::<Option<Vec<_>>>()
+        })
+        .ok_or_else(|| corrupt("confusion: not an array of f64 rows"))?;
+    ConfusionMatrix::from_rows(&rows).map_err(|e| corrupt(format!("confusion: {e}")))
+}
+
 // ---------------------------------------------------------------------------
-// Pump state
+// Hand-written shapes: tagged enums (the tag picks the shape) and the
+// answer set's nested arrays
 // ---------------------------------------------------------------------------
+
+fn assignment_status(s: &AssignmentStatus) -> Value {
+    let tag = match s {
+        AssignmentStatus::InFlight => "in_flight",
+        AssignmentStatus::Delivered => "delivered",
+        AssignmentStatus::Expired => "expired",
+    };
+    Value::Str(tag.to_string())
+}
+
+fn get_assignment_status(v: &Value, key: &str) -> Result<AssignmentStatus> {
+    match get_str(v, key)? {
+        "in_flight" => Ok(AssignmentStatus::InFlight),
+        "delivered" => Ok(AssignmentStatus::Delivered),
+        "expired" => Ok(AssignmentStatus::Expired),
+        other => Err(corrupt(format!("unknown assignment status {other:?}"))),
+    }
+}
 
 /// Encode a pending scheduler event.
 pub fn enc_event(e: &Event) -> Value {
@@ -366,43 +863,6 @@ pub fn dec_event(v: &Value) -> Result<Event> {
         at: get_sim_time(v, "at")?,
         seq: get_hex_u64(v, "seq")?,
         kind,
-    })
-}
-
-/// Encode a ledger assignment record.
-pub fn enc_record(r: &AssignmentRecord) -> Value {
-    let status = match r.status {
-        AssignmentStatus::InFlight => "in_flight",
-        AssignmentStatus::Delivered => "delivered",
-        AssignmentStatus::Expired => "expired",
-    };
-    obj([
-        ("id", hex_u64(r.id.0)),
-        ("object", num(r.object.0)),
-        ("annotator", num(r.annotator.0)),
-        ("cost", bits_f64(r.cost)),
-        ("dispatched_at", bits_f64(r.dispatched_at.as_f64())),
-        ("deadline", bits_f64(r.deadline.as_f64())),
-        ("status", Value::Str(status.to_string())),
-    ])
-}
-
-/// Decode a ledger assignment record.
-pub fn dec_record(v: &Value) -> Result<AssignmentRecord> {
-    let status = match get_str(v, "status")? {
-        "in_flight" => AssignmentStatus::InFlight,
-        "delivered" => AssignmentStatus::Delivered,
-        "expired" => AssignmentStatus::Expired,
-        other => return Err(corrupt(format!("unknown assignment status {other:?}"))),
-    };
-    Ok(AssignmentRecord {
-        id: AssignmentId(get_hex_u64(v, "id")?),
-        object: ObjectId(get_usize(v, "object")?),
-        annotator: AnnotatorId(get_usize(v, "annotator")?),
-        cost: get_f64_bits(v, "cost")?,
-        dispatched_at: get_sim_time(v, "dispatched_at")?,
-        deadline: get_sim_time(v, "deadline")?,
-        status,
     })
 }
 
@@ -549,275 +1009,8 @@ pub fn dec_answers(v: &Value, key: &str) -> Result<AnswerSet> {
     Ok(answers)
 }
 
-fn enc_pump(p: &PumpCheckpoint) -> Value {
-    obj([
-        ("now", bits_f64(p.now.as_f64())),
-        ("next_seq", hex_u64(p.next_seq)),
-        (
-            "events",
-            Value::Arr(p.events.iter().map(enc_event).collect()),
-        ),
-        (
-            "records",
-            Value::Arr(p.records.iter().map(enc_record).collect()),
-        ),
-        ("budget_total", bits_f64(p.budget_total)),
-        ("budget_spent", bits_f64(p.budget_spent)),
-        ("budget_charges", num(p.budget_charges)),
-        ("answers", enc_answers(&p.answers)),
-        ("latencies", f64s(&p.latencies)),
-        ("dispatched", num(p.dispatched)),
-        ("delivered", num(p.delivered)),
-        ("rejected", num(p.rejected)),
-        ("timeouts", num(p.timeouts)),
-        ("requeues", num(p.requeues)),
-        ("refreshes", num(p.refreshes)),
-        ("events_processed", num(p.events_processed)),
-        (
-            "trace",
-            Value::Arr(p.trace.iter().map(enc_trace_event).collect()),
-        ),
-        (
-            "labels_by_id",
-            Value::Arr(
-                p.labels_by_id
-                    .iter()
-                    .map(|l| opt(*l, |c| num(c.0)))
-                    .collect(),
-            ),
-        ),
-        (
-            "requeue_count",
-            Value::Arr(p.requeue_count.iter().map(|&n| num(n)).collect()),
-        ),
-        (
-            "abandoned",
-            Value::Arr(p.abandoned.iter().map(|o| num(o.0)).collect()),
-        ),
-        ("backoff_until", f64s(&p.backoff_until)),
-        ("answers_since", num(p.answers_since)),
-        ("last_refresh", bits_f64(p.last_refresh.as_f64())),
-    ])
-}
-
-fn dec_pump(v: &Value) -> Result<PumpCheckpoint> {
-    let labels_by_id = get_arr(v, "labels_by_id")?
-        .iter()
-        .enumerate()
-        .map(|(i, l)| match l {
-            Value::Null => Ok(None),
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(ClassId(*n as usize))),
-            _ => Err(corrupt(format!("labels_by_id[{i}] is not null or a class"))),
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(PumpCheckpoint {
-        now: get_sim_time(v, "now")?,
-        next_seq: get_hex_u64(v, "next_seq")?,
-        events: get_arr(v, "events")?
-            .iter()
-            .map(dec_event)
-            .collect::<Result<_>>()?,
-        records: get_arr(v, "records")?
-            .iter()
-            .map(dec_record)
-            .collect::<Result<_>>()?,
-        budget_total: get_f64_bits(v, "budget_total")?,
-        budget_spent: get_f64_bits(v, "budget_spent")?,
-        budget_charges: get_usize(v, "budget_charges")?,
-        answers: dec_answers(v, "answers")?,
-        latencies: get_f64s(v, "latencies")?,
-        dispatched: get_usize(v, "dispatched")?,
-        delivered: get_usize(v, "delivered")?,
-        rejected: get_usize(v, "rejected")?,
-        timeouts: get_usize(v, "timeouts")?,
-        requeues: get_usize(v, "requeues")?,
-        refreshes: get_usize(v, "refreshes")?,
-        events_processed: get_usize(v, "events_processed")?,
-        trace: get_arr(v, "trace")?
-            .iter()
-            .map(dec_trace_event)
-            .collect::<Result<_>>()?,
-        labels_by_id,
-        requeue_count: arr_usize(v, "requeue_count")?,
-        abandoned: arr_usize(v, "abandoned")?
-            .into_iter()
-            .map(ObjectId)
-            .collect(),
-        backoff_until: get_f64s(v, "backoff_until")?,
-        answers_since: get_usize(v, "answers_since")?,
-        last_refresh: get_sim_time(v, "last_refresh")?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Core state
-// ---------------------------------------------------------------------------
-
-/// Per-parameter-tensor Adam state: first moment, second moment, step.
-type OptSlot = (Vec<f32>, Vec<f32>, u64);
-
-fn enc_opt_state(state: &[OptSlot]) -> Value {
-    Value::Arr(
-        state
-            .iter()
-            .map(|(m, v, t)| obj([("m", f32s(m)), ("v", f32s(v)), ("t", hex_u64(*t))]))
-            .collect(),
-    )
-}
-
-fn dec_opt_state(v: &Value, key: &str) -> Result<Vec<OptSlot>> {
-    get_arr(v, key)?
-        .iter()
-        .map(|slot| {
-            Ok((
-                get_f32s(slot, "m")?,
-                get_f32s(slot, "v")?,
-                get_hex_u64(slot, "t")?,
-            ))
-        })
-        .collect()
-}
-
-fn enc_classifier(c: &ClassifierSnapshot) -> Value {
-    obj([
-        ("params", f32s(&c.params)),
-        ("opt_state", enc_opt_state(&c.opt_state)),
-        ("trained", Value::Bool(c.trained)),
-        ("generation", hex_u64(c.generation)),
-    ])
-}
-
-fn dec_classifier(v: &Value) -> Result<ClassifierSnapshot> {
-    Ok(ClassifierSnapshot {
-        params: get_f32s(v, "params")?,
-        opt_state: dec_opt_state(v, "opt_state")?,
-        trained: get_bool(v, "trained")?,
-        generation: get_hex_u64(v, "generation")?,
-    })
-}
-
-fn enc_transition(t: &Transition) -> Value {
-    obj([
-        ("sa", f32s(&t.state_action)),
-        ("reward", bits_f32(t.reward)),
-        (
-            "next",
-            Value::Arr(t.next_candidates.iter().map(|c| f32s(c)).collect()),
-        ),
-        ("terminal", Value::Bool(t.terminal)),
-    ])
-}
-
-fn dec_transition(v: &Value) -> Result<Transition> {
-    let reward_bits = get_str(v, "reward")?;
-    let reward = u32::from_str_radix(reward_bits, 16)
-        .map(f32::from_bits)
-        .map_err(|_| corrupt(format!("bad reward bits {reward_bits:?}")))?;
-    Ok(Transition {
-        state_action: get_f32s(v, "sa")?,
-        reward,
-        next_candidates: get_arr(v, "next")?
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                parse_f32s(
-                    c.as_str()
-                        .ok_or_else(|| corrupt(format!("next[{i}] is not a string")))?,
-                    "next",
-                )
-            })
-            .collect::<Result<_>>()?,
-        terminal: get_bool(v, "terminal")?,
-    })
-}
-
-fn enc_dqn(d: &DqnSnapshot) -> Value {
-    obj([
-        ("online", f32s(&d.online)),
-        ("target", f32s(&d.target)),
-        ("opt_state", enc_opt_state(&d.opt_state)),
-        (
-            "replay",
-            Value::Arr(d.replay.iter().map(enc_transition).collect()),
-        ),
-        ("replay_head", num(d.replay_head)),
-        ("replay_pushed", num(d.replay_pushed)),
-        ("train_steps", num(d.train_steps)),
-    ])
-}
-
-fn dec_dqn(v: &Value) -> Result<DqnSnapshot> {
-    Ok(DqnSnapshot {
-        online: get_f32s(v, "online")?,
-        target: get_f32s(v, "target")?,
-        opt_state: dec_opt_state(v, "opt_state")?,
-        replay: get_arr(v, "replay")?
-            .iter()
-            .map(dec_transition)
-            .collect::<Result<_>>()?,
-        replay_head: get_usize(v, "replay_head")?,
-        replay_pushed: get_usize(v, "replay_pushed")?,
-        train_steps: get_usize(v, "train_steps")?,
-    })
-}
-
-fn enc_agent(a: &AgentState) -> Value {
-    obj([
-        ("dqn", enc_dqn(&a.dqn)),
-        (
-            "ucb_counts",
-            opt(a.ucb_counts.as_ref(), |counts| {
-                Value::Arr(
-                    counts
-                        .iter()
-                        .map(|&(n, c)| Value::Arr(vec![hex_u64(n), hex_u64(c)]))
-                        .collect(),
-                )
-            }),
-        ),
-        ("eps_steps", opt(a.eps_steps, hex_u64)),
-    ])
-}
-
-fn dec_agent(v: &Value) -> Result<AgentState> {
-    let ucb_counts = match field(v, "ucb_counts")? {
-        Value::Null => None,
-        Value::Arr(items) => Some(
-            items
-                .iter()
-                .map(|pair| {
-                    let pair = pair
-                        .as_arr()
-                        .ok_or_else(|| corrupt("ucb_counts: bad pair"))?;
-                    let [n, c] = pair else {
-                        return Err(corrupt("ucb_counts: pair is not 2-long"));
-                    };
-                    let (Some(n), Some(c)) = (n.as_str(), c.as_str()) else {
-                        return Err(corrupt("ucb_counts: non-string pair"));
-                    };
-                    Ok((
-                        parse_hex_u64(n, "ucb_counts")?,
-                        parse_hex_u64(c, "ucb_counts")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>>>()?,
-        ),
-        _ => return Err(corrupt("ucb_counts is neither null nor an array")),
-    };
-    let eps_steps = match field(v, "eps_steps")? {
-        Value::Null => None,
-        Value::Str(s) => Some(parse_hex_u64(s, "eps_steps")?),
-        _ => return Err(corrupt("eps_steps is neither null nor a string")),
-    };
-    Ok(AgentState {
-        dqn: dec_dqn(field(v, "dqn")?)?,
-        ucb_counts,
-        eps_steps,
-    })
-}
-
 /// Encode a per-object label state.
-pub fn enc_label_state(l: LabelState) -> Value {
+pub fn enc_label_state(l: &LabelState) -> Value {
     match l {
         LabelState::Unlabelled => Value::Null,
         LabelState::Inferred(c) => obj([("i", num(c.0))]),
@@ -842,264 +1035,7 @@ pub fn dec_label_state(v: &Value) -> Result<LabelState> {
     }
 }
 
-fn enc_assignment(a: &Assignment) -> Value {
-    obj([
-        ("object", num(a.object.0)),
-        (
-            "annotators",
-            Value::Arr(a.annotators.iter().map(|w| num(w.0)).collect()),
-        ),
-        (
-            "embeddings",
-            Value::Arr(a.embeddings.iter().map(|e| f32s(e)).collect()),
-        ),
-    ])
-}
-
-fn dec_assignment(v: &Value) -> Result<Assignment> {
-    Ok(Assignment {
-        object: ObjectId(get_usize(v, "object")?),
-        annotators: arr_usize(v, "annotators")?
-            .into_iter()
-            .map(AnnotatorId)
-            .collect(),
-        embeddings: get_arr(v, "embeddings")?
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                parse_f32s(
-                    e.as_str()
-                        .ok_or_else(|| corrupt(format!("embeddings[{i}] is not a string")))?,
-                    "embeddings",
-                )
-            })
-            .collect::<Result<_>>()?,
-    })
-}
-
-fn enc_pending(p: &PendingBatchState) -> Value {
-    obj([
-        (
-            "assignments",
-            Value::Arr(p.assignments.iter().map(enc_assignment).collect()),
-        ),
-        (
-            "conf_before",
-            Value::Arr(
-                p.conf_before
-                    .iter()
-                    .map(|&(o, c)| Value::Arr(vec![num(o.0), bits_f64(c)]))
-                    .collect(),
-            ),
-        ),
-        (
-            "phi_guesses",
-            Value::Arr(
-                p.phi_guesses
-                    .iter()
-                    .map(|&(o, g)| Value::Arr(vec![num(o.0), num(g)]))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn dec_pending(v: &Value) -> Result<PendingBatchState> {
-    let conf_before = get_arr(v, "conf_before")?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| corrupt("conf_before: bad pair"))?;
-            let [o, c] = pair else {
-                return Err(corrupt("conf_before: pair is not 2-long"));
-            };
-            let o = o
-                .as_u64()
-                .ok_or_else(|| corrupt("conf_before: bad object"))?;
-            let c = c
-                .as_str()
-                .ok_or_else(|| corrupt("conf_before: bad confidence"))?;
-            Ok((
-                ObjectId(o as usize),
-                f64::from_bits(parse_hex_u64(c, "conf_before")?),
-            ))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let phi_guesses = get_arr(v, "phi_guesses")?
-        .iter()
-        .map(|pair| {
-            let pair = pair
-                .as_arr()
-                .ok_or_else(|| corrupt("phi_guesses: bad pair"))?;
-            let [o, g] = pair else {
-                return Err(corrupt("phi_guesses: pair is not 2-long"));
-            };
-            let (Some(o), Some(g)) = (o.as_u64(), g.as_u64()) else {
-                return Err(corrupt("phi_guesses: non-numeric pair"));
-            };
-            Ok((ObjectId(o as usize), g as usize))
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(PendingBatchState {
-        assignments: get_arr(v, "assignments")?
-            .iter()
-            .map(dec_assignment)
-            .collect::<Result<_>>()?,
-        conf_before,
-        phi_guesses,
-    })
-}
-
-/// Encode one iteration's workflow stats.
-pub fn enc_stats(s: &IterationStats) -> Value {
-    obj([
-        ("iteration", num(s.iteration)),
-        ("enriched", num(s.enriched)),
-        ("selected", num(s.selected)),
-        ("answers", num(s.answers)),
-        ("spend", bits_f64(s.spend)),
-        ("reward", bits_f64(s.reward)),
-        ("labelled_total", num(s.labelled_total)),
-        ("td_loss", opt(s.td_loss, bits_f32)),
-    ])
-}
-
-/// Decode one iteration's workflow stats.
-pub fn dec_stats(v: &Value) -> Result<IterationStats> {
-    let td_loss = match field(v, "td_loss")? {
-        Value::Null => None,
-        Value::Str(s) => Some(
-            u32::from_str_radix(s, 16)
-                .map(f32::from_bits)
-                .map_err(|_| corrupt(format!("bad td_loss bits {s:?}")))?,
-        ),
-        _ => return Err(corrupt("td_loss is neither null nor a string")),
-    };
-    Ok(IterationStats {
-        iteration: get_usize(v, "iteration")?,
-        enriched: get_usize(v, "enriched")?,
-        selected: get_usize(v, "selected")?,
-        answers: get_usize(v, "answers")?,
-        spend: get_f64_bits(v, "spend")?,
-        reward: get_f64_bits(v, "reward")?,
-        labelled_total: get_usize(v, "labelled_total")?,
-        td_loss,
-    })
-}
-
-fn enc_confusion(m: &ConfusionMatrix) -> Value {
-    let k = m.num_classes();
-    Value::Arr(
-        (0..k)
-            .map(|t| {
-                let row: Vec<f64> = (0..k).map(|r| m.get(ClassId(t), ClassId(r))).collect();
-                f64s(&row)
-            })
-            .collect(),
-    )
-}
-
-fn dec_confusion(v: &Value, what: &str) -> Result<ConfusionMatrix> {
-    let rows = v
-        .as_arr()
-        .ok_or_else(|| corrupt(format!("{what}: not an array")))?
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            parse_f64s(
-                row.as_str()
-                    .ok_or_else(|| corrupt(format!("{what}[{i}]: not a string")))?,
-                what,
-            )
-        })
-        .collect::<Result<Vec<_>>>()?;
-    ConfusionMatrix::from_rows(&rows).map_err(|e| corrupt(format!("{what}: {e}")))
-}
-
-fn enc_result(r: &InferenceResult) -> Value {
-    obj([
-        (
-            "posteriors",
-            Value::Arr(
-                r.posteriors
-                    .iter()
-                    .map(|p| opt(p.as_ref(), |p| f64s(p)))
-                    .collect(),
-            ),
-        ),
-        (
-            "confusions",
-            Value::Arr(r.confusions.iter().map(enc_confusion).collect()),
-        ),
-        ("class_prior", f64s(&r.class_prior)),
-        ("iterations", num(r.iterations)),
-        ("log_likelihood", bits_f64(r.log_likelihood)),
-    ])
-}
-
-fn dec_result(v: &Value) -> Result<InferenceResult> {
-    let posteriors = get_arr(v, "posteriors")?
-        .iter()
-        .enumerate()
-        .map(|(i, p)| match p {
-            Value::Null => Ok(None),
-            Value::Str(s) => parse_f64s(s, "posteriors").map(Some),
-            _ => Err(corrupt(format!("posteriors[{i}] is not null or a string"))),
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(InferenceResult {
-        posteriors,
-        confusions: get_arr(v, "confusions")?
-            .iter()
-            .map(|m| dec_confusion(m, "confusions"))
-            .collect::<Result<_>>()?,
-        class_prior: get_f64s(v, "class_prior")?,
-        iterations: get_usize(v, "iterations")?,
-        log_likelihood: get_f64_bits(v, "log_likelihood")?,
-    })
-}
-
-fn enc_engine(e: &EngineSnapshot) -> Value {
-    obj([
-        ("last", enc_result(&e.last)),
-        (
-            "answer_counts",
-            Value::Arr(e.answer_counts.iter().map(|&n| num(n)).collect()),
-        ),
-        ("total_answers", num(e.total_answers)),
-        (
-            "moved",
-            Value::Arr(e.moved.iter().map(|&b| Value::Bool(b)).collect()),
-        ),
-        (
-            "answered",
-            Value::Arr(e.answered.iter().map(|&n| num(n)).collect()),
-        ),
-        ("warm_calls_since_full", num(e.warm_calls_since_full)),
-        ("calls", hex_u64(e.calls)),
-    ])
-}
-
-fn dec_engine(v: &Value) -> Result<EngineSnapshot> {
-    Ok(EngineSnapshot {
-        last: dec_result(field(v, "last")?)?,
-        answer_counts: arr_usize(v, "answer_counts")?,
-        total_answers: get_usize(v, "total_answers")?,
-        moved: get_arr(v, "moved")?
-            .iter()
-            .map(|b| match b {
-                Value::Bool(b) => Ok(*b),
-                _ => Err(corrupt("moved: non-bool element")),
-            })
-            .collect::<Result<_>>()?,
-        answered: arr_usize(v, "answered")?,
-        warm_calls_since_full: get_usize(v, "warm_calls_since_full")?,
-        calls: get_hex_u64(v, "calls")?,
-    })
-}
-
-fn enc_quarantine_status(s: QuarantineStatus) -> Value {
+fn enc_quarantine_status(s: &QuarantineStatus) -> Value {
     match s {
         QuarantineStatus::Active => Value::Str("active".into()),
         QuarantineStatus::Quarantined {
@@ -1132,116 +1068,6 @@ fn dec_quarantine_status(v: &Value) -> Result<QuarantineStatus> {
         },
         _ => Err(corrupt("quarantine status is neither a string nor object")),
     }
-}
-
-/// Encode an agent core's complete learning state.
-pub fn enc_core(c: &CoreState) -> Value {
-    obj([
-        ("classifier", enc_classifier(&c.classifier)),
-        ("agent", enc_agent(&c.agent)),
-        (
-            "labelled",
-            Value::Arr(c.labelled.iter().map(|&l| enc_label_state(l)).collect()),
-        ),
-        ("qualities", f64s(&c.qualities)),
-        (
-            "prev_confidence",
-            Value::Arr(
-                c.prev_confidence
-                    .iter()
-                    .map(|p| opt(*p, bits_f64))
-                    .collect(),
-            ),
-        ),
-        (
-            "outstanding",
-            Value::Arr(c.outstanding.iter().map(enc_pending).collect()),
-        ),
-        ("trace", Value::Arr(c.trace.iter().map(enc_stats).collect())),
-        ("trust_agree", bits_f64(c.trust_agree)),
-        ("trust_scored", bits_f64(c.trust_scored)),
-        ("phi_trust", bits_f64(c.phi_trust)),
-        ("fixed_allowance", opt(c.fixed_allowance, bits_f64)),
-        ("last_spent", bits_f64(c.last_spent)),
-        ("refresh_index", num(c.refresh_index)),
-        ("engine", opt(c.engine.as_ref(), enc_engine)),
-        (
-            "rng",
-            Value::Arr(c.rng.iter().map(|&w| hex_u64(w)).collect()),
-        ),
-        (
-            "quarantine",
-            Value::Arr(
-                c.quarantine
-                    .iter()
-                    .map(|&s| enc_quarantine_status(s))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Decode an agent core's complete learning state.
-pub fn dec_core(v: &Value) -> Result<CoreState> {
-    let prev_confidence = get_arr(v, "prev_confidence")?
-        .iter()
-        .map(|p| match p {
-            Value::Null => Ok(None),
-            Value::Str(s) => Ok(Some(f64::from_bits(parse_hex_u64(s, "prev_confidence")?))),
-            _ => Err(corrupt("prev_confidence: bad element")),
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let fixed_allowance = match field(v, "fixed_allowance")? {
-        Value::Null => None,
-        Value::Str(s) => Some(f64::from_bits(parse_hex_u64(s, "fixed_allowance")?)),
-        _ => return Err(corrupt("fixed_allowance: bad value")),
-    };
-    let engine = match field(v, "engine")? {
-        Value::Null => None,
-        e => Some(dec_engine(e)?),
-    };
-    let rng_words = get_arr(v, "rng")?
-        .iter()
-        .map(|w| {
-            parse_hex_u64(
-                w.as_str().ok_or_else(|| corrupt("rng: non-string word"))?,
-                "rng",
-            )
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let rng: [u64; 4] = rng_words
-        .try_into()
-        .map_err(|_| corrupt("rng: expected exactly 4 words"))?;
-    Ok(CoreState {
-        classifier: dec_classifier(field(v, "classifier")?)?,
-        agent: dec_agent(field(v, "agent")?)?,
-        labelled: get_arr(v, "labelled")?
-            .iter()
-            .map(dec_label_state)
-            .collect::<Result<_>>()?,
-        qualities: get_f64s(v, "qualities")?,
-        prev_confidence,
-        outstanding: get_arr(v, "outstanding")?
-            .iter()
-            .map(dec_pending)
-            .collect::<Result<_>>()?,
-        trace: get_arr(v, "trace")?
-            .iter()
-            .map(dec_stats)
-            .collect::<Result<_>>()?,
-        trust_agree: get_f64_bits(v, "trust_agree")?,
-        trust_scored: get_f64_bits(v, "trust_scored")?,
-        phi_trust: get_f64_bits(v, "phi_trust")?,
-        fixed_allowance,
-        last_spent: get_f64_bits(v, "last_spent")?,
-        refresh_index: get_usize(v, "refresh_index")?,
-        engine,
-        rng,
-        quarantine: get_arr(v, "quarantine")?
-            .iter()
-            .map(dec_quarantine_status)
-            .collect::<Result<_>>()?,
-    })
 }
 
 #[cfg(test)]
@@ -1444,6 +1270,22 @@ mod tests {
             engine.last.posteriors,
             ck.core.engine.as_ref().unwrap().last.posteriors
         );
+    }
+
+    /// FNV-1a over raw bytes.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // A self round trip passes for any consistent encoder/decoder
+        // pair; this pins the wire format itself (key names, value
+        // encodings), so a renamed or re-encoded field fails here.
+        let text = sample_checkpoint().encode();
+        assert_eq!(fnv1a(text.as_bytes()), 0x5af5_7f50_fb9c_15c6);
     }
 
     #[test]

@@ -808,10 +808,6 @@ impl<'a> AgentCore<'a> {
             obs::counter_add(&self.scoped("decide.scored_pairs"), d.scored_pairs);
             obs::counter_add(&self.scoped("decide.cache_hits"), d.cache_hits);
             obs::counter_add(&self.scoped("decide.cache_misses"), d.cache_misses);
-            obs::counter_add(
-                &self.scoped("decide.full_row_fallbacks"),
-                d.full_row_fallbacks,
-            );
             if d.total_pairs > 0 {
                 obs::gauge_step(
                     &self.scoped("decide.pruned_fraction"),

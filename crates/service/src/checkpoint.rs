@@ -10,7 +10,8 @@
 //! the remaining rounds bit-identically to an uninterrupted run, in
 //! either [`ExecMode`].
 //!
-//! The wire format reuses `crowdrl-serve`'s checkpoint codec: one
+//! The wire format reuses `crowdrl-serve`'s checkpoint codec and its
+//! [`record_codec!`] field tables: one
 //! deterministic JSON document, `f64`s as 16-hex-digit IEEE-754 bit
 //! patterns (resume must not round-trip money or clocks through decimal
 //! text), objects in `BTreeMap` key order so the same checkpoint always
@@ -32,14 +33,22 @@ use crate::config::{ProjectSpec, ServiceConfig};
 use crate::error::ServiceError;
 use crowdrl_core::outcome::LabellingOutcome;
 use crowdrl_obs::json::{parse, Value};
-use crowdrl_serve::checkpoint as codec;
+use crowdrl_serve::checkpoint::{
+    arr_usize, bits_f64, boolean, dec_answers, dec_core, dec_event, dec_label_state, dec_record,
+    dec_stats, dec_trace_event, enc_answers, enc_core, enc_event, enc_label_state, enc_record,
+    enc_stats, enc_trace_event, f64s, field, get_arr, get_bool, get_f64_bits, get_f64s,
+    get_hex_u64, get_list, get_object_ids, get_record, get_sim_time, get_str, get_usize, hex_u64,
+    hex_u64s, list, num, obj, object_ids, opt_classes, parse_hex_u64, sim_time, usizes, versioned,
+};
 use crowdrl_serve::core_loop::CoreState;
-use crowdrl_serve::{AccountState, AssignmentRecord, Event, ExecMode, ServiceMetrics, TraceEvent};
+use crowdrl_serve::{
+    record_codec, AccountState, AssignmentRecord, Event, ExecMode, ServiceMetrics, TraceEvent,
+};
 use crowdrl_sim::AnnotatorPool;
 use crowdrl_types::{AnswerSet, ClassId, ObjectId, Result, SimTime};
 
 /// Format version stamped into every service checkpoint.
-const VERSION: u64 = 1;
+const VERSION: usize = 1;
 
 /// One shard frozen at a round boundary: its event queue, ledger slice,
 /// uid/label mappings, and merge frontier.
@@ -175,34 +184,7 @@ impl ServiceCheckpoint {
     /// Serialize to a single deterministic JSON document: the same
     /// checkpoint always renders the same bytes.
     pub fn encode(&self) -> String {
-        codec::obj([
-            ("version", Value::Num(VERSION as f64)),
-            ("fingerprint", codec::hex_u64(self.fingerprint)),
-            ("annotators", codec::num(self.annotators)),
-            ("now", codec::bits_f64(self.now.as_f64())),
-            ("rounds", codec::num(self.rounds)),
-            ("next_uid", codec::hex_u64(self.next_uid)),
-            ("queued", usizes(&self.queued)),
-            ("active", usizes(&self.active)),
-            (
-                "accounts",
-                Value::Arr(self.accounts.iter().map(enc_account).collect()),
-            ),
-            ("broker_load", usizes(&self.broker_load)),
-            (
-                "broker_evidence",
-                Value::Arr(self.broker_evidence.iter().map(|e| usizes(e)).collect()),
-            ),
-            (
-                "trace",
-                Value::Arr(self.trace.iter().map(enc_traced).collect()),
-            ),
-            (
-                "projects",
-                Value::Arr(self.projects.iter().map(enc_project).collect()),
-            ),
-        ])
-        .render()
+        versioned(enc_service(self), VERSION).render()
     }
 
     /// Parse a document produced by [`encode`](Self::encode). Anything
@@ -211,42 +193,114 @@ impl ServiceCheckpoint {
     /// [`ServiceError::CorruptCheckpoint`](crate::ServiceError).
     pub fn decode(text: &str) -> Result<Self> {
         let v = parse(text).map_err(|e| corrupt(format!("bad JSON: {e}")))?;
-        let version = codec::get_u64_plain(&v, "version")?;
+        let version = get_usize(&v, "version")?;
         if version != VERSION {
             return Err(corrupt(format!(
                 "unsupported service checkpoint version {version} (expected {VERSION})"
             )));
         }
-        let accounts = codec::get_arr(&v, "accounts")?
-            .iter()
-            .map(dec_account)
-            .collect::<Result<Vec<_>>>()?;
-        let broker_evidence = codec::get_arr(&v, "broker_evidence")?
-            .iter()
-            .map(|e| dec_usizes(e, "broker_evidence"))
-            .collect::<Result<Vec<_>>>()?;
-        let trace = codec::get_arr(&v, "trace")?
-            .iter()
-            .map(dec_traced)
-            .collect::<Result<Vec<_>>>()?;
-        let projects = codec::get_arr(&v, "projects")?
-            .iter()
-            .map(dec_project)
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
-            fingerprint: codec::get_hex_u64(&v, "fingerprint")?,
-            annotators: codec::get_usize(&v, "annotators")?,
-            now: codec::get_sim_time(&v, "now")?,
-            rounds: codec::get_usize(&v, "rounds")?,
-            next_uid: codec::get_hex_u64(&v, "next_uid")?,
-            queued: codec::arr_usize(&v, "queued")?,
-            active: codec::arr_usize(&v, "active")?,
-            accounts,
-            broker_load: codec::arr_usize(&v, "broker_load")?,
-            broker_evidence,
-            trace,
-            projects,
-        })
+        dec_service(&v)
+    }
+}
+
+record_codec! {
+    ServiceCheckpoint: enc_service / dec_service {
+        "fingerprint" => fingerprint: hex_u64, get_hex_u64;
+        "annotators" => annotators: num, get_usize;
+        "now" => now: sim_time, get_sim_time;
+        "rounds" => rounds: num, get_usize;
+        "next_uid" => next_uid: hex_u64, get_hex_u64;
+        "queued" => queued: usizes, arr_usize;
+        "active" => active: usizes, arr_usize;
+        "accounts" => accounts: list(enc_account), get_list(dec_account);
+        "broker_load" => broker_load: usizes, arr_usize;
+        "broker_evidence" => broker_evidence: usize_lists, get_usize_lists;
+        "trace" => trace: list(enc_traced), get_list(dec_traced);
+        "projects" => projects: list(enc_project), get_list(dec_project);
+    }
+}
+
+record_codec! {
+    AccountState: enc_account / dec_account {
+        "total" => total: bits_f64, get_f64_bits;
+        "spent" => spent: bits_f64, get_f64_bits;
+        "charges" => charges: num, get_usize;
+        "reserved" => reserved: bits_f64, get_f64_bits;
+    }
+}
+
+record_codec! {
+    ShardState: enc_shard / dec_shard {
+        "now" => now: sim_time, get_sim_time;
+        "next_seq" => next_seq: hex_u64, get_hex_u64;
+        "events" => events: list(enc_event), get_list(dec_event);
+        "records" => records: list(enc_record), get_list(dec_record);
+        "uids" => uids: hex_u64s, get_uids;
+        "labels" => labels: opt_classes, dec_labels;
+        "frontier" => frontier: sim_time, get_sim_time;
+    }
+}
+
+record_codec! {
+    CollectorState: enc_collector / dec_collector {
+        "latencies" => latencies: f64s, get_f64s;
+        "dispatched" => dispatched: num, get_usize;
+        "delivered" => delivered: num, get_usize;
+        "rejected" => rejected: num, get_usize;
+        "timeouts" => timeouts: num, get_usize;
+        "requeues" => requeues: num, get_usize;
+        "refreshes" => refreshes: num, get_usize;
+        "events" => events: num, get_usize;
+    }
+}
+
+record_codec! {
+    LabellingOutcome: enc_outcome / dec_outcome {
+        "labels" => labels: opt_classes, dec_labels;
+        "label_states" => label_states: list(enc_label_state), get_list(dec_label_state);
+        "budget_spent" => budget_spent: bits_f64, get_f64_bits;
+        "iterations" => iterations: num, get_usize;
+        "total_answers" => total_answers: num, get_usize;
+        "enriched" => enriched_count: num, get_usize;
+        "fallback" => fallback_count: num, get_usize;
+        "trace" => trace: list(enc_stats), get_list(dec_stats);
+    }
+}
+
+record_codec! {
+    ServiceMetrics: enc_metrics / dec_metrics {
+        "dispatched" => dispatched: num, get_usize;
+        "answers_delivered" => answers_delivered: num, get_usize;
+        "answers_rejected" => answers_rejected: num, get_usize;
+        "timeouts" => timeouts: num, get_usize;
+        "requeues" => requeues: num, get_usize;
+        "refreshes" => refreshes: num, get_usize;
+        "events_processed" => events_processed: num, get_usize;
+        "sim_duration" => sim_duration: sim_time, get_sim_time;
+        "wall_seconds" => wall_seconds: bits_f64, get_f64_bits;
+        "latency_p50" => latency_p50: bits_f64, get_f64_bits;
+        "latency_p95" => latency_p95: bits_f64, get_f64_bits;
+        "latency_p99" => latency_p99: bits_f64, get_f64_bits;
+        "answers_per_time_unit" => answers_per_time_unit: bits_f64, get_f64_bits;
+        "events_per_second" => events_per_second: bits_f64, get_f64_bits;
+        "budget_spent" => budget_spent: bits_f64, get_f64_bits;
+        "budget_burn_rate" => budget_burn_rate: bits_f64, get_f64_bits;
+    }
+}
+
+record_codec! {
+    ActiveProjectState: enc_active / dec_active {
+        "core" => core: enc_core, get_record(dec_core);
+        "shards" => shards: list(enc_shard), get_list(dec_shard);
+        "answers" => answers: enc_answers, dec_answers;
+        "answers_since" => answers_since: num, get_usize;
+        "last_refresh" => last_refresh: sim_time, get_sim_time;
+        "requeues" => requeues: usizes, arr_usize;
+        "abandoned" => abandoned: object_ids, get_object_ids;
+        "collector" => collector: enc_collector, get_record(dec_collector);
+        "started_at" => started_at: sim_time, get_sim_time;
+        "done" => done: boolean, get_bool;
+        "starved" => starved: boolean, get_bool;
     }
 }
 
@@ -297,8 +351,16 @@ fn corrupt(msg: impl Into<String>) -> crowdrl_types::Error {
     ServiceError::CorruptCheckpoint(msg.into()).into()
 }
 
-fn usizes(xs: &[usize]) -> Value {
-    Value::Arr(xs.iter().map(|&x| codec::num(x)).collect())
+/// Count lists as an array of count arrays.
+fn usize_lists(lists: &[Vec<usize>]) -> Value {
+    Value::Arr(lists.iter().map(|l| usizes(l)).collect())
+}
+
+fn get_usize_lists(v: &Value, key: &str) -> Result<Vec<Vec<usize>>> {
+    get_arr(v, key)?
+        .iter()
+        .map(|e| dec_usizes(e, key))
+        .collect()
 }
 
 fn dec_usizes(v: &Value, what: &str) -> Result<Vec<usize>> {
@@ -315,49 +377,16 @@ fn dec_usizes(v: &Value, what: &str) -> Result<Vec<usize>> {
         .collect()
 }
 
-fn enc_account(a: &AccountState) -> Value {
-    codec::obj([
-        ("total", codec::bits_f64(a.total)),
-        ("spent", codec::bits_f64(a.spent)),
-        ("charges", codec::num(a.charges)),
-        ("reserved", codec::bits_f64(a.reserved)),
-    ])
-}
-
-fn dec_account(v: &Value) -> Result<AccountState> {
-    Ok(AccountState {
-        total: codec::get_f64_bits(v, "total")?,
-        spent: codec::get_f64_bits(v, "spent")?,
-        charges: codec::get_usize(v, "charges")?,
-        reserved: codec::get_f64_bits(v, "reserved")?,
-    })
-}
-
 fn enc_traced(entry: &(usize, TraceEvent)) -> Value {
-    codec::obj([
-        ("p", codec::num(entry.0)),
-        ("e", codec::enc_trace_event(&entry.1)),
-    ])
+    obj([("p", num(entry.0)), ("e", enc_trace_event(&entry.1))])
 }
 
 fn dec_traced(v: &Value) -> Result<(usize, TraceEvent)> {
-    Ok((
-        codec::get_usize(v, "p")?,
-        codec::dec_trace_event(codec::field(v, "e")?)?,
-    ))
-}
-
-fn enc_labels(labels: &[Option<ClassId>]) -> Value {
-    Value::Arr(
-        labels
-            .iter()
-            .map(|l| codec::opt(*l, |c| codec::num(c.0)))
-            .collect(),
-    )
+    Ok((get_usize(v, "p")?, dec_trace_event(field(v, "e")?)?))
 }
 
 fn dec_labels(v: &Value, key: &str) -> Result<Vec<Option<ClassId>>> {
-    codec::get_arr(v, key)?
+    get_arr(v, key)?
         .iter()
         .enumerate()
         .map(|(i, x)| match x {
@@ -368,230 +397,31 @@ fn dec_labels(v: &Value, key: &str) -> Result<Vec<Option<ClassId>>> {
         .collect()
 }
 
-fn enc_shard(s: &ShardState) -> Value {
-    codec::obj([
-        ("now", codec::bits_f64(s.now.as_f64())),
-        ("next_seq", codec::hex_u64(s.next_seq)),
-        (
-            "events",
-            Value::Arr(s.events.iter().map(codec::enc_event).collect()),
-        ),
-        (
-            "records",
-            Value::Arr(s.records.iter().map(codec::enc_record).collect()),
-        ),
-        (
-            "uids",
-            Value::Arr(s.uids.iter().map(|&u| codec::hex_u64(u)).collect()),
-        ),
-        ("labels", enc_labels(&s.labels)),
-        ("frontier", codec::bits_f64(s.frontier.as_f64())),
-    ])
-}
-
-fn dec_shard(v: &Value) -> Result<ShardState> {
-    let events = codec::get_arr(v, "events")?
-        .iter()
-        .map(codec::dec_event)
-        .collect::<Result<Vec<_>>>()?;
-    let records = codec::get_arr(v, "records")?
-        .iter()
-        .map(codec::dec_record)
-        .collect::<Result<Vec<_>>>()?;
-    let uids = codec::get_arr(v, "uids")?
+fn get_uids(v: &Value, key: &str) -> Result<Vec<u64>> {
+    get_arr(v, key)?
         .iter()
         .enumerate()
         .map(|(i, x)| match x {
-            Value::Str(s) => codec::parse_hex_u64(s, "shard uid"),
-            _ => Err(corrupt(format!("uids[{i}] is not a hex string"))),
+            Value::Str(s) => parse_hex_u64(s, "shard uid"),
+            _ => Err(corrupt(format!("{key}[{i}] is not a hex string"))),
         })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(ShardState {
-        now: codec::get_sim_time(v, "now")?,
-        next_seq: codec::get_hex_u64(v, "next_seq")?,
-        events,
-        records,
-        uids,
-        labels: dec_labels(v, "labels")?,
-        frontier: codec::get_sim_time(v, "frontier")?,
-    })
-}
-
-fn enc_collector(c: &CollectorState) -> Value {
-    codec::obj([
-        ("latencies", codec::f64s(&c.latencies)),
-        ("dispatched", codec::num(c.dispatched)),
-        ("delivered", codec::num(c.delivered)),
-        ("rejected", codec::num(c.rejected)),
-        ("timeouts", codec::num(c.timeouts)),
-        ("requeues", codec::num(c.requeues)),
-        ("refreshes", codec::num(c.refreshes)),
-        ("events", codec::num(c.events)),
-    ])
-}
-
-fn dec_collector(v: &Value) -> Result<CollectorState> {
-    Ok(CollectorState {
-        latencies: codec::get_f64s(v, "latencies")?,
-        dispatched: codec::get_usize(v, "dispatched")?,
-        delivered: codec::get_usize(v, "delivered")?,
-        rejected: codec::get_usize(v, "rejected")?,
-        timeouts: codec::get_usize(v, "timeouts")?,
-        requeues: codec::get_usize(v, "requeues")?,
-        refreshes: codec::get_usize(v, "refreshes")?,
-        events: codec::get_usize(v, "events")?,
-    })
-}
-
-fn enc_outcome(o: &LabellingOutcome) -> Value {
-    codec::obj([
-        ("labels", enc_labels(&o.labels)),
-        (
-            "label_states",
-            Value::Arr(
-                o.label_states
-                    .iter()
-                    .map(|&l| codec::enc_label_state(l))
-                    .collect(),
-            ),
-        ),
-        ("budget_spent", codec::bits_f64(o.budget_spent)),
-        ("iterations", codec::num(o.iterations)),
-        ("total_answers", codec::num(o.total_answers)),
-        ("enriched", codec::num(o.enriched_count)),
-        ("fallback", codec::num(o.fallback_count)),
-        (
-            "trace",
-            Value::Arr(o.trace.iter().map(codec::enc_stats).collect()),
-        ),
-    ])
-}
-
-fn dec_outcome(v: &Value) -> Result<LabellingOutcome> {
-    let label_states = codec::get_arr(v, "label_states")?
-        .iter()
-        .map(codec::dec_label_state)
-        .collect::<Result<Vec<_>>>()?;
-    let trace = codec::get_arr(v, "trace")?
-        .iter()
-        .map(codec::dec_stats)
-        .collect::<Result<Vec<_>>>()?;
-    Ok(LabellingOutcome {
-        labels: dec_labels(v, "labels")?,
-        label_states,
-        budget_spent: codec::get_f64_bits(v, "budget_spent")?,
-        iterations: codec::get_usize(v, "iterations")?,
-        total_answers: codec::get_usize(v, "total_answers")?,
-        enriched_count: codec::get_usize(v, "enriched")?,
-        fallback_count: codec::get_usize(v, "fallback")?,
-        trace,
-    })
-}
-
-fn enc_metrics(m: &ServiceMetrics) -> Value {
-    codec::obj([
-        ("dispatched", codec::num(m.dispatched)),
-        ("answers_delivered", codec::num(m.answers_delivered)),
-        ("answers_rejected", codec::num(m.answers_rejected)),
-        ("timeouts", codec::num(m.timeouts)),
-        ("requeues", codec::num(m.requeues)),
-        ("refreshes", codec::num(m.refreshes)),
-        ("events_processed", codec::num(m.events_processed)),
-        ("sim_duration", codec::bits_f64(m.sim_duration.as_f64())),
-        ("wall_seconds", codec::bits_f64(m.wall_seconds)),
-        ("latency_p50", codec::bits_f64(m.latency_p50)),
-        ("latency_p95", codec::bits_f64(m.latency_p95)),
-        ("latency_p99", codec::bits_f64(m.latency_p99)),
-        (
-            "answers_per_time_unit",
-            codec::bits_f64(m.answers_per_time_unit),
-        ),
-        ("events_per_second", codec::bits_f64(m.events_per_second)),
-        ("budget_spent", codec::bits_f64(m.budget_spent)),
-        ("budget_burn_rate", codec::bits_f64(m.budget_burn_rate)),
-    ])
-}
-
-fn dec_metrics(v: &Value) -> Result<ServiceMetrics> {
-    Ok(ServiceMetrics {
-        dispatched: codec::get_usize(v, "dispatched")?,
-        answers_delivered: codec::get_usize(v, "answers_delivered")?,
-        answers_rejected: codec::get_usize(v, "answers_rejected")?,
-        timeouts: codec::get_usize(v, "timeouts")?,
-        requeues: codec::get_usize(v, "requeues")?,
-        refreshes: codec::get_usize(v, "refreshes")?,
-        events_processed: codec::get_usize(v, "events_processed")?,
-        sim_duration: codec::get_sim_time(v, "sim_duration")?,
-        wall_seconds: codec::get_f64_bits(v, "wall_seconds")?,
-        latency_p50: codec::get_f64_bits(v, "latency_p50")?,
-        latency_p95: codec::get_f64_bits(v, "latency_p95")?,
-        latency_p99: codec::get_f64_bits(v, "latency_p99")?,
-        answers_per_time_unit: codec::get_f64_bits(v, "answers_per_time_unit")?,
-        events_per_second: codec::get_f64_bits(v, "events_per_second")?,
-        budget_spent: codec::get_f64_bits(v, "budget_spent")?,
-        budget_burn_rate: codec::get_f64_bits(v, "budget_burn_rate")?,
-    })
-}
-
-fn enc_active(a: &ActiveProjectState) -> Value {
-    codec::obj([
-        ("core", codec::enc_core(&a.core)),
-        (
-            "shards",
-            Value::Arr(a.shards.iter().map(enc_shard).collect()),
-        ),
-        ("answers", codec::enc_answers(&a.answers)),
-        ("answers_since", codec::num(a.answers_since)),
-        ("last_refresh", codec::bits_f64(a.last_refresh.as_f64())),
-        ("requeues", usizes(&a.requeues)),
-        (
-            "abandoned",
-            Value::Arr(a.abandoned.iter().map(|o| codec::num(o.index())).collect()),
-        ),
-        ("collector", enc_collector(&a.collector)),
-        ("started_at", codec::bits_f64(a.started_at.as_f64())),
-        ("done", Value::Bool(a.done)),
-        ("starved", Value::Bool(a.starved)),
-    ])
-}
-
-fn dec_active(v: &Value) -> Result<ActiveProjectState> {
-    let shards = codec::get_arr(v, "shards")?
-        .iter()
-        .map(dec_shard)
-        .collect::<Result<Vec<_>>>()?;
-    Ok(ActiveProjectState {
-        core: codec::dec_core(codec::field(v, "core")?)?,
-        shards,
-        answers: codec::dec_answers(v, "answers")?,
-        answers_since: codec::get_usize(v, "answers_since")?,
-        last_refresh: codec::get_sim_time(v, "last_refresh")?,
-        requeues: codec::arr_usize(v, "requeues")?,
-        abandoned: codec::arr_usize(v, "abandoned")?
-            .into_iter()
-            .map(ObjectId)
-            .collect(),
-        collector: dec_collector(codec::field(v, "collector")?)?,
-        started_at: codec::get_sim_time(v, "started_at")?,
-        done: codec::get_bool(v, "done")?,
-        starved: codec::get_bool(v, "starved")?,
-    })
+        .collect()
 }
 
 fn enc_project(p: &ProjectCheckpoint) -> Value {
     match p {
-        ProjectCheckpoint::Rejected => codec::obj([("status", Value::Str("rejected".into()))]),
-        ProjectCheckpoint::Queued => codec::obj([("status", Value::Str("queued".into()))]),
-        ProjectCheckpoint::Active(state) => codec::obj([
+        ProjectCheckpoint::Rejected => obj([("status", Value::Str("rejected".into()))]),
+        ProjectCheckpoint::Queued => obj([("status", Value::Str("queued".into()))]),
+        ProjectCheckpoint::Active(state) => obj([
             ("status", Value::Str("active".into())),
             ("state", enc_active(state)),
         ]),
-        ProjectCheckpoint::Completed { outcome, metrics } => codec::obj([
+        ProjectCheckpoint::Completed { outcome, metrics } => obj([
             ("status", Value::Str("completed".into())),
             ("outcome", enc_outcome(outcome)),
             ("metrics", enc_metrics(metrics)),
         ]),
-        ProjectCheckpoint::Failed { reason, metrics } => codec::obj([
+        ProjectCheckpoint::Failed { reason, metrics } => obj([
             ("status", Value::Str("failed".into())),
             ("reason", Value::Str(reason.clone())),
             ("metrics", enc_metrics(metrics)),
@@ -600,19 +430,19 @@ fn enc_project(p: &ProjectCheckpoint) -> Value {
 }
 
 fn dec_project(v: &Value) -> Result<ProjectCheckpoint> {
-    match codec::get_str(v, "status")? {
+    match get_str(v, "status")? {
         "rejected" => Ok(ProjectCheckpoint::Rejected),
         "queued" => Ok(ProjectCheckpoint::Queued),
-        "active" => Ok(ProjectCheckpoint::Active(Box::new(dec_active(
-            codec::field(v, "state")?,
-        )?))),
+        "active" => Ok(ProjectCheckpoint::Active(Box::new(dec_active(field(
+            v, "state",
+        )?)?))),
         "completed" => Ok(ProjectCheckpoint::Completed {
-            outcome: dec_outcome(codec::field(v, "outcome")?)?,
-            metrics: dec_metrics(codec::field(v, "metrics")?)?,
+            outcome: dec_outcome(field(v, "outcome")?)?,
+            metrics: dec_metrics(field(v, "metrics")?)?,
         }),
         "failed" => Ok(ProjectCheckpoint::Failed {
-            reason: codec::get_str(v, "reason")?.to_string(),
-            metrics: dec_metrics(codec::field(v, "metrics")?)?,
+            reason: get_str(v, "reason")?.to_string(),
+            metrics: dec_metrics(field(v, "metrics")?)?,
         }),
         other => Err(corrupt(format!("unknown project status '{other}'"))),
     }
@@ -719,6 +549,17 @@ mod tests {
             decoded.accounts[0].reserved.to_bits(),
             cp.accounts[0].reserved.to_bits()
         );
+    }
+
+    #[test]
+    fn encoded_bytes_are_pinned() {
+        // A self round trip passes for any consistent encoder/decoder
+        // pair; this pins the wire format itself (key names, value
+        // encodings), so a renamed or re-encoded field fails here.
+        let text = sample_checkpoint().encode();
+        let mut h = Fnv::new();
+        h.write(text.as_bytes());
+        assert_eq!(h.0, 0x5321_164d_25cb_ba5f);
     }
 
     #[test]

@@ -37,10 +37,7 @@ fn env_decide() -> DecideConfig {
         Ok("pruned") | Err(_) => DecideMode::Pruned,
         Ok(other) => panic!("SERVICE_DEMO_DECIDE must be pruned|exhaustive, got {other:?}"),
     };
-    DecideConfig {
-        mode,
-        ..DecideConfig::default()
-    }
+    DecideConfig { mode }
 }
 
 fn accuracy(labels: &[Option<ClassId>], dataset: &Dataset) -> f64 {

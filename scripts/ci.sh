@@ -33,6 +33,12 @@ timed "tests @1 thread" env CROWDRL_THREADS=1 cargo test -q --offline --workspac
 echo "== cargo test (workspace, CROWDRL_THREADS=4) =="
 timed "tests @4 threads" env CROWDRL_THREADS=4 cargo test -q --offline --workspace
 
+echo "== cargo test (perfbench) =="
+# The benchmark is a workspace of its own that drives the public API; the
+# workspace suites above never build it, so a removed or renamed public
+# item could break it unseen.
+timed "perfbench tests" cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== traced run + crowdrl-trace smoke test =="
 # The observability layer must produce a trace the analyzer can profile:
 # run a small traced experiment and assert the phase profile is non-empty.
@@ -130,8 +136,8 @@ service_chaos_smoke() {
 timed "service chaos smoke" service_chaos_smoke
 
 echo "== decide pruning equivalence smoke test =="
-# The decide-path pruning (cached annotator activations + exact
-# shortlists with column dedup) must be invisible end to end: the same
+# The decide-path pruning (cached annotator activations + column
+# deduplication) must be invisible end to end: the same
 # small service round in pruned and exhaustive mode must print the
 # identical outcome — labels, accuracies, rounds, budgets, sim time.
 # Only the wall-clock figures (the thing pruning is allowed to change)

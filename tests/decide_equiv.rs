@@ -28,7 +28,7 @@ fn scenario(pool_size: usize, objects: usize) -> (Dataset, AnnotatorPool) {
     (dataset, pool)
 }
 
-fn config(mode: DecideMode, shortlist: usize, objects: usize) -> CrowdRlConfig {
+fn config(mode: DecideMode, _shortlist: usize, objects: usize) -> CrowdRlConfig {
     CrowdRlConfig::builder()
         .budget(2.75 * objects as f64)
         .candidate_cap(12)
@@ -38,7 +38,7 @@ fn config(mode: DecideMode, shortlist: usize, objects: usize) -> CrowdRlConfig {
             hidden: vec![32, 16],
             ..DqnConfig::default()
         })
-        .decide(DecideConfig { mode, shortlist })
+        .decide(DecideConfig { mode })
         .build()
         .unwrap()
 }

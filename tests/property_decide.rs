@@ -37,7 +37,7 @@ fn twin(seed: u64, mode: DecideMode) -> SelectionAgent {
     SelectionAgent::new(
         dqn_config(),
         &Exploration::Ucb { scale: 0.1 },
-        DecideConfig { mode, shortlist: 4 },
+        DecideConfig { mode },
         None,
         &mut rng,
     )
