@@ -165,8 +165,8 @@ fn bench_decide(c: &mut Criterion) -> Vec<(usize, DecideStats)> {
         for mode in [DecideMode::Exhaustive, DecideMode::Pruned] {
             let mut agent = decide_agent(mode);
             let mut rng = seeded(9);
-            // Warm: accrue UCB counts and fill the activation cache, the
-            // steady state of a serve loop between parameter refreshes.
+            // Warm: accrue UCB counts, the steady state of a serve loop
+            // between parameter refreshes.
             for _ in 0..3 {
                 agent.select(
                     &f.candidates,
@@ -321,7 +321,7 @@ fn render_json(
     // candidates, pruned vs exhaustive, at growing pool sizes. Both
     // modes pick bit-identical panels (pinned by tests/decide_equiv.rs);
     // the series reports how much of the annotator dimension the pruned
-    // path avoided scoring and how often the activation cache hit.
+    // path avoided scoring.
     let _ = writeln!(
         out,
         "  \"decide\": {{\n    \"candidates\": {DECIDE_OBJECTS}, \"slots\": 3, \"batch\": 8,\n    \
@@ -347,10 +347,9 @@ fn render_json(
             out,
             "      {{ \"pool\": {pool}, \"exhaustive_ms\": {exhaustive_ms:.3}, \
              \"pruned_ms\": {pruned_ms:.3}, \"speedup\": {:.2}, \
-             \"scored_fraction\": {:.4}, \"cache_hit_rate\": {:.4} }}{comma}",
+             \"scored_fraction\": {:.4} }}{comma}",
             exhaustive_ms / pruned_ms,
             d.scored_pairs as f64 / d.total_pairs as f64,
-            d.cache_hits as f64 / (d.cache_hits + d.cache_misses).max(1) as f64,
         );
     }
     out.push_str("    ]\n  }\n}\n");

@@ -13,10 +13,10 @@
 //! ranking with uniform-random feasible annotators.
 
 use crate::config::{Ablation, Exploration};
-use crate::decide::{AnnotatorCache, DecideConfig, DecideMode, DecideStats, DedupPairScores};
+use crate::decide::{BlockRows, DecideConfig, DecideMode, DecideStats, DedupPairScores};
 use crate::features::{
     embed_annotator_specific, embed_object_part, embed_run_part, ObjectFeatures, StateSnapshot,
-    ANNOTATOR_SPECIFIC_DIM, FEATURE_DIM, OBJECT_PART_DIM,
+    ANNOTATOR_SPECIFIC_DIM, FEATURE_DIM,
 };
 use crowdrl_rl::{topk, DqnAgent, DqnConfig, DqnSnapshot, EpsilonGreedy, Transition, UcbExplorer};
 use crowdrl_types::rng::sample_indices;
@@ -46,26 +46,28 @@ pub struct SelectionAgent {
     ucb: Option<UcbExplorer>,
     eps: Option<EpsilonGreedy>,
     decide: DecideConfig,
-    cache: AnnotatorCache,
     stats: DecideStats,
 }
 
 /// Walk `ranked` best-first and greedily fill a panel of up to `k`
 /// annotators under the panel constraints (at most one expert, running
 /// allowance, free concurrency slots), charging each pick to `allowance`
-/// and to the batch-wide `picked` counts.
+/// and to the batch-wide `picked` counts. The walk stops once the
+/// allowance is below `min_cost`, the cheapest active annotator's cost:
+/// every later candidate would be rejected as unaffordable.
 fn fill_panel(
-    ranked: &[usize],
+    ranked: impl IntoIterator<Item = usize>,
     active: &[&AnnotatorProfile],
     slots: Option<&HashMap<AnnotatorId, usize>>,
     picked: &mut [usize],
     allowance: &mut f64,
+    min_cost: f64,
     k: usize,
 ) -> Vec<usize> {
     let mut picks = Vec::with_capacity(k);
     let mut has_expert = false;
-    for &ai in ranked {
-        if picks.len() == k {
+    for ai in ranked {
+        if picks.len() == k || *allowance < min_cost {
             break;
         }
         let profile = active[ai];
@@ -128,7 +130,6 @@ impl SelectionAgent {
             ucb,
             eps,
             decide,
-            cache: AnnotatorCache::new(),
             stats: DecideStats::default(),
         })
     }
@@ -147,19 +148,6 @@ impl SelectionAgent {
     /// [`DecideStats::delta_since`] to scope them to one call).
     pub fn decide_stats(&self) -> DecideStats {
         self.stats
-    }
-
-    /// Number of annotators with a cached first-layer activation partial.
-    pub fn cached_annotators(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Drop one annotator's cached activation partial (quarantine
-    /// entry/release, profile retirement). Dirty-set hygiene only: cache
-    /// entries are also keyed by parameter generation and feature bits,
-    /// so a stale hit is structurally impossible without this call.
-    pub fn invalidate_annotator(&mut self, index: usize) {
-        self.cache.invalidate(index);
     }
 
     /// Export the full learning state for a checkpoint.
@@ -257,8 +245,9 @@ impl SelectionAgent {
         // annotator/run-level suffix (`features::OBJECT_PART_DIM`), so the
         // Q-network's first layer is evaluated once per object part and
         // once per annotator part instead of once per pair. The suffix
-        // splits again into an annotator-specific block (cacheable across
-        // refreshes) and a run-level block shared by the whole pool.
+        // splits again into an annotator-specific block, shared by every
+        // annotator in the same state, and a run-level block shared by
+        // the whole pool.
         let embed_span = crowdrl_obs::span("decide.embed");
         let num_classes = candidates[0].1.len();
         debug_assert!(candidates.iter().all(|(_, p)| p.len() == num_classes));
@@ -319,40 +308,21 @@ impl SelectionAgent {
         // annotator dimension — "have we tried routing work to w_j
         // lately?".
         let mut dense: Option<Vec<f64>> = None;
-        // Pruned mode: cached first-layer partials per annotator, resumed
-        // with the run block and bias, deduplicated into score columns
-        // and scored in one batched forward (see `decide`). The grid
-        // declines a mostly distinct pool, which then scores densely.
+        // Pruned mode: one first-layer row per distinct annotator-specific
+        // block, deduplicated into score columns and scored in one batched
+        // forward (see `decide`). The grid declines a mostly distinct
+        // pool, which then scores densely.
         let mut grid: Option<DedupPairScores> = None;
         if !skip_scoring && self.decide.mode == DecideMode::Pruned {
             let _grid_span = crowdrl_obs::span("decide.grid");
-            let generation = self.dqn.params_generation();
             let net = self.dqn.online_network();
-            let first = net.first_layer();
-            let mut rp = Vec::with_capacity(w);
-            for (ai, profile) in active.iter().enumerate() {
-                let mut row = self.cache.partial_for(
-                    net,
-                    generation,
-                    profile.id.index(),
-                    &specifics[ai],
-                    &mut self.stats,
-                );
-                first.accumulate_partial(
-                    &mut row,
-                    &run_part,
-                    OBJECT_PART_DIM + ANNOTATOR_SPECIFIC_DIM,
-                );
-                for (v, b) in row.iter_mut().zip(first.bias()) {
-                    *v += b;
-                }
-                rp.push(row);
-            }
+            let blocks = BlockRows::build(net.first_layer(), &specifics, &run_part);
+            self.stats.distinct_blocks += blocks.distinct() as u64;
             let keys: Vec<u64> = active.iter().map(|p| p.id.index() as u64).collect();
             grid = DedupPairScores::new(
                 net,
                 &object_parts,
-                rp,
+                blocks,
                 &masked,
                 &keys,
                 self.ucb.as_ref(),
@@ -418,24 +388,42 @@ impl SelectionAgent {
 
         let mut out = Vec::with_capacity(chosen_objects.len());
         let mut allowance = iteration_allowance;
+        // Once the allowance is below the cheapest active annotator, no
+        // further pick is affordable (see `fill_panel`).
+        let min_cost = active.iter().map(|p| p.cost).fold(f64::INFINITY, f64::min);
         // Batch-wide concurrency bookkeeping: how many times each active
         // annotator (by position) has been picked so far this batch.
         let mut picked = vec![0usize; w];
         for ci in chosen_objects {
+            if !random_assignment && allowance < min_cost {
+                // Nothing is affordable any more and the scored path draws
+                // no randomness: every remaining panel would be empty.
+                break;
+            }
             // Greedy panel fill: best-scored first, at most one expert,
             // each pick charged against the iteration allowance and the
             // annotator's free concurrency slots.
-            let ranked = if random_assignment {
-                // M2 / exploration: uniform-random feasible annotators.
-                let feasible: Vec<usize> = (0..w).filter(|&ai| !masked[ci * w + ai]).collect();
-                sample_indices(rng, feasible.len(), feasible.len())
-                    .into_iter()
-                    .map(|i| feasible[i])
-                    .collect()
-            } else {
-                topk::top_k_indices(&row_of(ci), w)
+            let mut fill = |ranked: &mut dyn Iterator<Item = usize>| {
+                fill_panel(
+                    ranked,
+                    &active,
+                    slots,
+                    &mut picked,
+                    &mut allowance,
+                    min_cost,
+                    k,
+                )
             };
-            let picks = fill_panel(&ranked, &active, slots, &mut picked, &mut allowance, k);
+            let picks = if random_assignment {
+                // M2 / exploration: uniform-random feasible annotators,
+                // drawn even when nothing is affordable any more so the
+                // RNG stream does not depend on the allowance.
+                let feasible: Vec<usize> = (0..w).filter(|&ai| !masked[ci * w + ai]).collect();
+                let order = sample_indices(rng, feasible.len(), feasible.len());
+                fill(&mut order.into_iter().map(|i| feasible[i]))
+            } else {
+                fill(&mut topk::ranked(&row_of(ci)))
+            };
             if picks.is_empty() {
                 continue;
             }
@@ -953,46 +941,177 @@ mod tests {
         assert!(uses <= 2);
     }
 
+    /// `select` without ε-greedy, the slow way: every pair scored densely,
+    /// each chosen object's row ranked by a full `top_k_indices(row, w)`
+    /// sort, and panels filled without the early stop. Assumes the whole
+    /// pool passes the pre-filter and no slot limits.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_select<R: Rng + ?Sized>(
+        agent: &SelectionAgent,
+        candidates: &[(ObjectId, Vec<f64>)],
+        profiles: &[AnnotatorProfile],
+        answers: &AnswerSet,
+        labelled: &LabelledSet,
+        snapshot: &StateSnapshot,
+        mut allowance: f64,
+        k: usize,
+        batch: usize,
+        random_assignment: bool,
+        rng: &mut R,
+    ) -> Vec<(ObjectId, Vec<AnnotatorId>)> {
+        let (c, w) = (candidates.len(), profiles.len());
+        let object_parts: Vec<Vec<f32>> = candidates
+            .iter()
+            .map(|(o, p)| {
+                embed_object_part(&ObjectFeatures::compute(*o, p, answers), *o, labelled, k)
+            })
+            .collect();
+        let run = embed_run_part(snapshot);
+        let annotator_parts: Vec<Vec<f32>> = profiles
+            .iter()
+            .map(|p| {
+                let mut part =
+                    embed_annotator_specific(p, snapshot, candidates[0].1.len()).to_vec();
+                part.extend_from_slice(&run);
+                part
+            })
+            .collect();
+        let q = agent.dqn.q_values_outer(&object_parts, &annotator_parts);
+        let rows: Vec<Vec<f64>> = (0..c)
+            .map(|ci| {
+                (0..w)
+                    .map(|ai| {
+                        if answers.has_answered(candidates[ci].0, profiles[ai].id) {
+                            return f64::NEG_INFINITY;
+                        }
+                        let qv = q[ci * w + ai] as f64;
+                        match &agent.ucb {
+                            Some(ucb) => ucb.score_soft(qv, profiles[ai].id.index() as u64),
+                            None => qv,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let sums: Vec<f64> = rows.iter().map(|r| topk::top_k_sum(r, k)).collect();
+        let mut out = Vec::new();
+        for ci in topk::top_k_indices(&sums, batch) {
+            let ranked = if random_assignment {
+                let feasible: Vec<usize> = (0..w)
+                    .filter(|&ai| rows[ci][ai] != f64::NEG_INFINITY)
+                    .collect();
+                sample_indices(rng, feasible.len(), feasible.len())
+                    .into_iter()
+                    .map(|i| feasible[i])
+                    .collect()
+            } else {
+                topk::top_k_indices(&rows[ci], w)
+            };
+            let mut panel = Vec::new();
+            let mut has_expert = false;
+            for ai in ranked {
+                if panel.len() == k {
+                    break;
+                }
+                let p = &profiles[ai];
+                if (p.is_expert() && has_expert) || p.cost > allowance {
+                    continue;
+                }
+                allowance -= p.cost;
+                has_expert |= p.is_expert();
+                panel.push(p.id);
+            }
+            if !panel.is_empty() {
+                out.push((candidates[ci].0, panel));
+            }
+        }
+        out
+    }
+
     #[test]
-    fn activation_cache_hits_across_refreshes_and_invalidates() {
-        let mut agent = agent(51);
-        let profiles = profiles(6, 1);
-        let answers = AnswerSet::new(8);
-        let labelled = LabelledSet::new(8);
-        let run = |agent: &mut SelectionAgent, seed: u64| {
-            let mut rng = seeded(seed);
-            agent.select(
-                &candidates(8),
-                &profiles,
-                None,
-                &answers,
-                &labelled,
-                &snapshot(7),
-                100.0,
-                2,
-                2,
-                Ablation::default(),
-                &mut rng,
+    fn allowance_running_out_mid_batch_matches_a_full_sort_fill() {
+        use crate::decide::DecideMode;
+        // Workers cost 1, experts 10: an allowance of 17 over a batch of
+        // six 3-panels runs dry after a few objects, leaving short and
+        // empty panels behind.
+        let profiles = profiles(20, 3);
+        let mut answers = AnswerSet::new(10);
+        for (o, a) in [(0usize, 1usize), (2, 20), (3, 0), (3, 5)] {
+            answers
+                .record(Answer {
+                    object: ObjectId(o),
+                    annotator: AnnotatorId(a),
+                    label: ClassId(0),
+                })
+                .unwrap();
+        }
+        let labelled = LabelledSet::new(10);
+        let snap = snapshot(23);
+        let (allowance, k, batch) = (17.0, 3, 6);
+        for random_assignment in [false, true] {
+            let ablation = Ablation {
+                random_task_selection: false,
+                random_task_assignment: random_assignment,
+            };
+            let mut pruned = agent(61);
+            let mut exhaustive = agent_with(
+                61,
+                DecideConfig {
+                    mode: DecideMode::Exhaustive,
+                },
             );
-        };
-        run(&mut agent, 1);
-        let first = agent.decide_stats();
-        assert_eq!(first.cache_misses, 7); // cold: every annotator computed
-        assert_eq!(first.cache_hits, 0);
-        run(&mut agent, 2);
-        let second = agent.decide_stats().delta_since(&first);
-        // No training in between and the same snapshot: all hits. (UCB
-        // counts changed, but they adjust scores, not the cached DQN
-        // partial.)
-        assert_eq!(second.cache_misses, 0);
-        assert_eq!(second.cache_hits, 7);
-        assert_eq!(agent.cached_annotators(), 7);
-        agent.invalidate_annotator(3);
-        assert_eq!(agent.cached_annotators(), 6);
-        let before = agent.decide_stats();
-        run(&mut agent, 3);
-        let third = agent.decide_stats().delta_since(&before);
-        assert_eq!(third.cache_misses, 1); // only the invalidated one
-        assert_eq!(third.cache_hits, 6);
+            for round in 0..3u64 {
+                let want = {
+                    let mut rng = seeded(700 + round);
+                    let panels = reference_select(
+                        &pruned,
+                        &candidates(10),
+                        &profiles,
+                        &answers,
+                        &labelled,
+                        &snap,
+                        allowance,
+                        k,
+                        batch,
+                        random_assignment,
+                        &mut rng,
+                    );
+                    (panels, rng.state())
+                };
+                let run = |agent: &mut SelectionAgent| {
+                    let mut rng = seeded(700 + round);
+                    let picks = agent.select(
+                        &candidates(10),
+                        &profiles,
+                        None,
+                        &answers,
+                        &labelled,
+                        &snap,
+                        allowance,
+                        k,
+                        batch,
+                        ablation,
+                        &mut rng,
+                    );
+                    let panels: Vec<(ObjectId, Vec<AnnotatorId>)> = picks
+                        .into_iter()
+                        .map(|a| (a.object, a.annotators))
+                        .collect();
+                    (panels, rng.state())
+                };
+                let got_pruned = run(&mut pruned);
+                let got_exhaustive = run(&mut exhaustive);
+                let what = format!("random_assignment {random_assignment} round {round}");
+                assert_eq!(got_pruned, want, "{what}: pruned vs reference");
+                assert_eq!(got_exhaustive, want, "{what}: exhaustive vs reference");
+                let (panels, _) = &want;
+                assert!(
+                    panels.len() < batch || panels.iter().any(|(_, p)| p.len() < k),
+                    "{what}: the allowance never ran out: {panels:?}"
+                );
+            }
+            let stats = pruned.decide_stats();
+            assert!(stats.scored_pairs < stats.total_pairs, "grid never engaged");
+        }
     }
 }

@@ -1,53 +1,56 @@
-//! Decide-path pruning: cached annotator activations and column
-//! deduplication for [`SelectionAgent::select`](crate::agent::SelectionAgent).
+//! Decide-path pruning: first-layer rows per distinct annotator feature
+//! block, column deduplication, and the panel walk's early stop for
+//! [`SelectionAgent::select`](crate::agent::SelectionAgent).
 //!
 //! `serve.decide` is the service hot path: every refresh scores each
 //! candidate object against the whole annotator pool, so its cost is
 //! O(objects × pool) Q-network forwards and dominates wall time at
-//! thousands of annotators (DESIGN.md §13). Two mechanisms cut the
-//! annotator dimension without changing a single selection:
+//! thousands of annotators (DESIGN.md §13). Three mechanisms make the cost
+//! follow *distinct annotator states* and the work a panel needs, not the
+//! pool size, without changing a single selection:
 //!
-//! 1. **Activation cache** ([`AnnotatorCache`]): the annotator-specific
-//!    block of the embedding suffix (quality/cost/kind/load — see
-//!    [`ANNOTATOR_SPECIFIC_DIM`]) has its first-layer partial
-//!    pre-activation computed once and reused across refreshes. Entries
-//!    are keyed on the DQN's parameter generation plus the exact bit
-//!    pattern of the feature block, so a gradient step, a parameter
-//!    import/restore, or any profile/quality/load change forces a
-//!    recompute — a stale partial can never be served. Each refresh
-//!    resumes the cached partial with the run-level block and the bias,
-//!    reproducing the full matmul row bit-for-bit
-//!    (`Dense::accumulate_partial`).
+//! 1. **Rows per distinct feature block.** Annotators enter the Q-network
+//!    only through the 4-float annotator-specific block of the embedding
+//!    suffix (quality/cost/kind/load — see [`ANNOTATOR_SPECIFIC_DIM`]);
+//!    the run-level rest of the suffix is shared by the whole pool. The
+//!    agent groups the active annotators by the exact bit pattern of that
+//!    block and builds the biased first-layer row once per group, in the
+//!    matmul kernel's op order (`Dense::accumulate_partial` over the
+//!    block, then the run block, then `+ bias`), so each row is
+//!    bit-identical to the dense path's. In a large pool almost every
+//!    annotator the inference engine has not yet profiled sits at the
+//!    same prior quality, zero load and one of a handful of cost tiers,
+//!    so thousands of annotators share ~100 rows.
 //!
-//! 2. **Column deduplication** ([`DedupPairScores`]):
-//!    annotators enter the Q-network only through their first-layer
-//!    suffix row, a function of the 4-float specific block. Annotators
-//!    whose rows are bit-identical — in a large pool the overwhelming
-//!    majority, since every annotator the inference engine has not yet
-//!    profiled sits at the same prior quality, zero load, and one of a
-//!    handful of cost tiers — provably produce bit-identical Q-values for
-//!    every object. Each distinct column is forwarded once and shared;
-//!    per-annotator identity (UCB bonus, answered-pair mask, index
-//!    tie-break) is restored at expansion with the exact floating-point
-//!    expression exhaustive scoring uses
-//!    (`score_soft(q, a) == q + bonus_soft(a)`). This is what makes
-//!    decide sublinear in the pool size in practice: tail cost scales
-//!    with *distinct annotator states*, not pool size.
+//! 2. **Column deduplication** ([`DedupPairScores`]): rows that are
+//!    bit-identical produce bit-identical Q-values for every object, so
+//!    each distinct row is one score column, forwarded once against every
+//!    candidate object and shared. Per-annotator identity (UCB bonus,
+//!    answered-pair mask, index tie-break) is restored at expansion with
+//!    the exact floating-point expression exhaustive scoring uses
+//!    (`score_soft(q, a) == q + bonus_soft(a)`).
 //!
-//! Pruning is therefore a pure optimization: selections, sums and traces
-//! are bit-identical to exhaustive scoring, which `tests/decide_equiv.rs`
-//! pins across pool sizes and thread widths.
+//! 3. **Panel walk stop and lazy ranking** (in the agent): a panel is
+//!    filled from a lazily popped ranking (`topk::ranked`) instead of a
+//!    full sort of the row, and the walk ends as soon as the iteration
+//!    allowance is below the cheapest active annotator's cost — every
+//!    later candidate would be rejected as unaffordable. Once that holds,
+//!    a scored batch no longer builds rankings at all.
+//!
+//! Pruning is therefore a pure optimization: selections, sums, RNG draws
+//! and traces are bit-identical to exhaustive scoring, which
+//! `tests/decide_equiv.rs` pins across pool sizes and thread widths.
 
 use crate::features::{ANNOTATOR_SPECIFIC_DIM, OBJECT_PART_DIM};
 use crowdrl_linalg::Matrix;
-use crowdrl_nn::Network;
+use crowdrl_nn::{Dense, Network};
 use crowdrl_rl::UcbExplorer;
 use std::collections::HashMap;
 
 /// How `select` scores the (object × annotator) candidate grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecideMode {
-    /// Cached annotator activations and column deduplication.
+    /// Rows per distinct feature block and column deduplication.
     /// Bit-identical selections to [`DecideMode::Exhaustive`], sublinear
     /// in the pool size in practice.
     Pruned,
@@ -79,11 +82,9 @@ pub struct DecideStats {
     pub total_pairs: u64,
     /// Pairs actually forwarded through the Q-network.
     pub scored_pairs: u64,
-    /// Annotator partials served from the activation cache.
-    pub cache_hits: u64,
-    /// Annotator partials recomputed (absent, stale generation, or
-    /// changed features).
-    pub cache_misses: u64,
+    /// Distinct annotator-specific feature blocks the pruned path built
+    /// first-layer rows for, summed over calls.
+    pub distinct_blocks: u64,
     /// Annotators that reached embedding/scoring after the feasibility
     /// pre-filter.
     pub forwarded_annotators: u64,
@@ -98,94 +99,61 @@ impl DecideStats {
         DecideStats {
             total_pairs: self.total_pairs - earlier.total_pairs,
             scored_pairs: self.scored_pairs - earlier.scored_pairs,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
+            distinct_blocks: self.distinct_blocks - earlier.distinct_blocks,
             forwarded_annotators: self.forwarded_annotators - earlier.forwarded_annotators,
             filtered_annotators: self.filtered_annotators - earlier.filtered_annotators,
         }
     }
 }
 
+/// Biased first-layer suffix rows, one per distinct annotator-specific
+/// feature block, and the block of every annotator.
 #[derive(Debug, Clone)]
-struct CacheEntry {
-    /// `DqnAgent::params_generation` the partial was computed under.
-    params_generation: u64,
-    /// Exact bit pattern of the annotator-specific feature block.
-    key: [u32; ANNOTATOR_SPECIFIC_DIM],
-    /// First-layer partial pre-activation of the block (no bias).
-    partial: Vec<f32>,
+pub struct BlockRows {
+    /// One biased first-layer row per distinct block, in first-seen order.
+    rows: Vec<Vec<f32>>,
+    /// Annotator position → index into `rows`.
+    block_of: Vec<usize>,
 }
 
-/// Per-annotator cache of first-layer activation partials.
-///
-/// Keying on (parameter generation, feature bit pattern) makes staleness
-/// structurally impossible: any weight update or feature change produces
-/// a key mismatch and a recompute. [`invalidate`](AnnotatorCache::invalidate)
-/// exists for explicit dirty-set discipline (quarantine transitions) and
-/// memory hygiene; correctness never depends on it being called.
-#[derive(Debug, Clone, Default)]
-pub struct AnnotatorCache {
-    entries: HashMap<usize, CacheEntry>,
-}
-
-impl AnnotatorCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+impl BlockRows {
+    /// Group the annotators by the exact bit pattern of their specific
+    /// block and build each group's row once: zeros, then the block, then
+    /// the run-level block, then the bias — the dense kernel's op order
+    /// (`Dense::accumulate_partial`), so every row is bit-identical to the
+    /// suffix part of the dense path's first-layer pre-activation.
+    pub fn build(
+        first: &Dense,
+        specifics: &[[f32; ANNOTATOR_SPECIFIC_DIM]],
+        run_part: &[f32],
+    ) -> Self {
+        let mut index: HashMap<[u32; ANNOTATOR_SPECIFIC_DIM], usize> = HashMap::new();
+        let mut rows = Vec::new();
+        let block_of = specifics
+            .iter()
+            .map(|specific| {
+                *index.entry(specific.map(f32::to_bits)).or_insert_with(|| {
+                    let mut row = vec![0.0f32; first.output_dim()];
+                    first.accumulate_partial(&mut row, specific, OBJECT_PART_DIM);
+                    first.accumulate_partial(
+                        &mut row,
+                        run_part,
+                        OBJECT_PART_DIM + ANNOTATOR_SPECIFIC_DIM,
+                    );
+                    for (v, b) in row.iter_mut().zip(first.bias()) {
+                        *v += b;
+                    }
+                    rows.push(row);
+                    rows.len() - 1
+                })
+            })
+            .collect();
+        Self { rows, block_of }
     }
 
-    /// Number of cached annotator partials.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop one annotator's entry (quarantine entry/release, profile
-    /// retirement).
-    pub fn invalidate(&mut self, annotator: usize) {
-        self.entries.remove(&annotator);
-    }
-
-    /// Drop everything.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// The first-layer partial for one annotator's specific feature
-    /// block, from cache when the generation and feature bits match,
-    /// recomputed (and stored) otherwise.
-    pub fn partial_for(
-        &mut self,
-        net: &Network,
-        params_generation: u64,
-        annotator: usize,
-        specific: &[f32; ANNOTATOR_SPECIFIC_DIM],
-        stats: &mut DecideStats,
-    ) -> Vec<f32> {
-        let key = specific.map(f32::to_bits);
-        if let Some(e) = self.entries.get(&annotator) {
-            if e.params_generation == params_generation && e.key == key {
-                stats.cache_hits += 1;
-                return e.partial.clone();
-            }
-        }
-        stats.cache_misses += 1;
-        let first = net.first_layer();
-        let mut partial = vec![0.0f32; first.output_dim()];
-        first.accumulate_partial(&mut partial, specific, OBJECT_PART_DIM);
-        self.entries.insert(
-            annotator,
-            CacheEntry {
-                params_generation,
-                key,
-                partial: partial.clone(),
-            },
-        );
-        partial
+    /// Number of distinct blocks (rows built).
+    pub fn distinct(&self) -> usize {
+        self.rows.len()
     }
 }
 
@@ -195,7 +163,7 @@ impl AnnotatorCache {
 /// batched forward. Adjusted scores are `-inf` for masked
 /// (already-answered) pairs and otherwise the UCB-adjusted Q-value —
 /// bit-identical to what exhaustive scoring produces: every forward is
-/// row-independent, the cached/resumed first-layer rows replicate the
+/// row-independent, the per-block first-layer rows replicate the
 /// kernel's exact operation sequence, annotators sharing a bit-identical
 /// suffix row share one forwarded Q-column, and the UCB adjustment is
 /// re-applied per annotator with the identical floating-point expression
@@ -215,10 +183,11 @@ pub struct DedupPairScores<'m> {
 }
 
 impl<'m> DedupPairScores<'m> {
-    /// Deduplicate the annotators' biased first-layer suffix rows by exact
-    /// bit pattern (bit-identical rows produce bit-identical Q-values for
-    /// every object, so they share one score column), then score every
-    /// column against every candidate object in one batched forward.
+    /// Deduplicate the blocks' biased first-layer suffix rows by exact bit
+    /// pattern (bit-identical rows produce bit-identical Q-values for every
+    /// object, so they share one score column), map every annotator to its
+    /// block's column, then score every column against every candidate
+    /// object in one batched forward.
     ///
     /// Declines with `None` when the pool is mostly distinct (more than
     /// `w / 2` columns, e.g. a long-profiled pool where every annotator
@@ -229,27 +198,34 @@ impl<'m> DedupPairScores<'m> {
     pub fn new(
         net: &Network,
         object_parts: &[Vec<f32>],
-        rp_rows: Vec<Vec<f32>>,
+        blocks: BlockRows,
         masked: &'m [bool],
         keys: &[u64],
         ucb: Option<&UcbExplorer>,
         stats: &mut DecideStats,
     ) -> Option<Self> {
         let c = object_parts.len();
-        let w = rp_rows.len();
+        let w = blocks.block_of.len();
         debug_assert_eq!(masked.len(), c * w);
         debug_assert_eq!(keys.len(), w);
         let mut column_of: HashMap<Vec<u32>, usize> = HashMap::new();
         let mut columns: Vec<Vec<f32>> = Vec::new();
-        let mut group_of = Vec::with_capacity(w);
-        for row in rp_rows {
-            let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
-            let col = *column_of.entry(bits).or_insert_with(|| {
-                columns.push(row);
-                columns.len() - 1
-            });
-            group_of.push(col);
-        }
+        let column_of_block: Vec<usize> = blocks
+            .rows
+            .into_iter()
+            .map(|row| {
+                let bits: Vec<u32> = row.iter().map(|v| v.to_bits()).collect();
+                *column_of.entry(bits).or_insert_with(|| {
+                    columns.push(row);
+                    columns.len() - 1
+                })
+            })
+            .collect();
+        let group_of: Vec<usize> = blocks
+            .block_of
+            .iter()
+            .map(|&b| column_of_block[b])
+            .collect();
         let g = columns.len();
         if 2 * g > w {
             return None;
@@ -332,18 +308,16 @@ mod tests {
         (net, objects, suffixes)
     }
 
-    /// Biased first-layer rows for full annotator suffixes, the way the
-    /// agent assembles them (cache partial + run resume + bias).
-    fn rp_rows(net: &Network, suffixes: &[Vec<f32>]) -> Vec<Vec<f32>> {
+    /// Biased first-layer rows for full annotator suffixes, one block per
+    /// annotator, built in the op order `BlockRows::build` uses (zeros,
+    /// specific block, rest of the suffix, bias).
+    fn rp_rows(net: &Network, suffixes: &[Vec<f32>]) -> BlockRows {
         let first = net.first_layer();
-        suffixes
+        let rows = suffixes
             .iter()
             .map(|s| {
-                let mut cache = AnnotatorCache::new();
-                let mut stats = DecideStats::default();
-                let specific: [f32; ANNOTATOR_SPECIFIC_DIM] =
-                    s[..ANNOTATOR_SPECIFIC_DIM].try_into().unwrap();
-                let mut r = cache.partial_for(net, 0, 0, &specific, &mut stats);
+                let mut r = vec![0.0f32; first.output_dim()];
+                first.accumulate_partial(&mut r, &s[..ANNOTATOR_SPECIFIC_DIM], OBJECT_PART_DIM);
                 first.accumulate_partial(
                     &mut r,
                     &s[ANNOTATOR_SPECIFIC_DIM..],
@@ -354,7 +328,11 @@ mod tests {
                 }
                 r
             })
-            .collect()
+            .collect();
+        BlockRows {
+            rows,
+            block_of: (0..suffixes.len()).collect(),
+        }
     }
 
     fn exhaustive_reference(
@@ -442,34 +420,58 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_same_generation_and_features_only() {
-        let (net, _, suffixes) = fixture(11, 1, 1);
-        let mut cache = AnnotatorCache::new();
+    fn block_rows_build_one_row_per_distinct_block() {
+        // 30 annotators in 5 distinct states behind one shared run block:
+        // five rows are built, and every annotator's row is bit-identical
+        // to the one built for it alone.
+        let (net, objects, base) = fixture(29, 4, 5);
+        let run = base[0][ANNOTATOR_SPECIFIC_DIM..].to_vec();
+        let specifics: Vec<[f32; ANNOTATOR_SPECIFIC_DIM]> = (0..30)
+            .map(|i| {
+                base[i % base.len()][..ANNOTATOR_SPECIFIC_DIM]
+                    .try_into()
+                    .unwrap()
+            })
+            .collect();
+        let blocks = BlockRows::build(net.first_layer(), &specifics, &run);
+        assert_eq!(blocks.distinct(), base.len());
+        let suffixes: Vec<Vec<f32>> = specifics
+            .iter()
+            .map(|s| [s.as_slice(), &run].concat())
+            .collect();
+        let alone = rp_rows(&net, &suffixes);
+        for (ai, &b) in blocks.block_of.iter().enumerate() {
+            assert_eq!(
+                blocks.rows[b]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                alone.rows[ai]
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+                "annotator {ai}"
+            );
+        }
+        // Scored through the grid, they match the exhaustive reference.
+        let (c, w) = (objects.len(), specifics.len());
+        let reference = exhaustive_reference(&net, &objects, &suffixes);
+        let masked = vec![false; c * w];
+        let keys: Vec<u64> = (0..w as u64).collect();
         let mut stats = DecideStats::default();
-        let specific: [f32; ANNOTATOR_SPECIFIC_DIM] =
-            suffixes[0][..ANNOTATOR_SPECIFIC_DIM].try_into().unwrap();
-
-        let a = cache.partial_for(&net, 0, 5, &specific, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 1));
-        let b = cache.partial_for(&net, 0, 5, &specific, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 1));
-        assert_eq!(a, b);
-
-        // New parameter generation: miss.
-        let _ = cache.partial_for(&net, 1, 5, &specific, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 2));
-
-        // Changed feature bits: miss.
-        let mut changed = specific;
-        changed[0] += 0.25;
-        let _ = cache.partial_for(&net, 1, 5, &changed, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 3));
-
-        // Explicit invalidation: miss even with matching key.
-        cache.invalidate(5);
-        let _ = cache.partial_for(&net, 1, 5, &changed, &mut stats);
-        assert_eq!((stats.cache_hits, stats.cache_misses), (1, 4));
-        assert_eq!(cache.len(), 1);
+        let grid =
+            DedupPairScores::new(&net, &objects, blocks, &masked, &keys, None, &mut stats).unwrap();
+        assert_eq!(stats.scored_pairs, (c * base.len()) as u64);
+        for ci in 0..c {
+            for ai in 0..w {
+                let want = reference[ci * w + ai];
+                assert_eq!(
+                    grid.score_at(ci, ai).to_bits(),
+                    want.to_bits(),
+                    "pair ({ci},{ai})"
+                );
+            }
+        }
     }
 
     #[test]

@@ -151,8 +151,8 @@ pub fn embed_object_part(
 /// *individual annotator* (quality, cost, kind, load); the remaining
 /// `FEATURE_DIM - OBJECT_PART_DIM - ANNOTATOR_SPECIFIC_DIM` dims are
 /// run-level and shared by every annotator in a refresh. The decide
-/// path's activation cache keys on the annotator-specific block and
-/// resumes the shared run-level block per refresh.
+/// path builds one first-layer row per distinct annotator-specific block
+/// and resumes it with the shared run-level block.
 pub const ANNOTATOR_SPECIFIC_DIM: usize = 4;
 
 /// The annotator-specific block of the embedding suffix

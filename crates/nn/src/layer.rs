@@ -237,8 +237,9 @@ impl Dense {
     /// separate multiply then add-assign roundings — so accumulating a
     /// row in two consecutive column blocks is bit-identical to one
     /// `partial_matmul` over the concatenated row. This is what lets the
-    /// decide path cache the annotator-specific prefix of the first-layer
-    /// partial and resume with the run-level suffix later.
+    /// decide path build the annotator-specific prefix of the first-layer
+    /// partial once per distinct block and resume with the run-level
+    /// suffix.
     pub fn accumulate_partial(&self, acc: &mut [f32], x: &[f32], col_offset: usize) {
         assert_eq!(acc.len(), self.output_dim(), "partial width mismatch");
         assert!(

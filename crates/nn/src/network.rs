@@ -127,15 +127,15 @@ impl Network {
         h
     }
 
-    /// The first layer — the decide path's activation cache works against
-    /// its weights directly.
+    /// The first layer — the decide path builds per-block first-layer rows
+    /// against its weights directly.
     pub fn first_layer(&self) -> &Dense {
         &self.layers[0]
     }
 
     /// Run layers `1..` over an already-activated first-layer output.
-    /// Combined with externally assembled first-layer activations (cached
-    /// annotator partials resumed with run-level features), this is
+    /// Combined with externally assembled first-layer activations
+    /// (annotator-block partials resumed with run-level features), this is
     /// bit-identical per row to [`Network::forward_inference_outer`]
     /// because every layer forward is row-independent.
     pub fn tail_forward_inference(&self, h: &Matrix) -> Matrix {

@@ -4,6 +4,8 @@
 //! top-k Q-values per object with a bounded min-heap, sums them, and picks
 //! the objects with the largest sums. These helpers implement that with a
 //! `BinaryHeap<Reverse<_>>` of size ≤ k — O(n log k) rather than sorting.
+//! [`ranked`] gives the full best-first order lazily, for callers that
+//! usually stop after a few entries.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -52,6 +54,11 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
     } else {
         let mut heap: BinaryHeap<Reverse<Scored>> = BinaryHeap::with_capacity(k + 1);
         for s in scored {
+            // A full heap evicts its minimum: an entry below that minimum
+            // would be pushed and popped straight back out.
+            if heap.len() == k && heap.peek().is_some_and(|Reverse(min)| s < *min) {
+                continue;
+            }
             heap.push(Reverse(s));
             if heap.len() > k {
                 heap.pop();
@@ -61,6 +68,22 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
     };
     out.sort_by(|a, b| b.cmp(a));
     out.into_iter().map(|s| s.index).collect()
+}
+
+/// Every non-masked index, best first, in the order
+/// `top_k_indices(scores, scores.len())` returns: the heap is built in
+/// O(n) and each entry costs O(log n) only when it is taken, so a caller
+/// that stops after a few entries never pays for the full sort.
+/// `NEG_INFINITY` entries are skipped; NaN panics.
+pub fn ranked(scores: &[f64]) -> impl Iterator<Item = usize> {
+    assert!(scores.iter().all(|s| !s.is_nan()), "NaN score in top-k");
+    let mut heap: BinaryHeap<Scored> = scores
+        .iter()
+        .enumerate()
+        .filter(|(_, &score)| score != f64::NEG_INFINITY)
+        .map(|(index, &score)| Scored { score, index })
+        .collect();
+    std::iter::from_fn(move || heap.pop().map(|s| s.index))
 }
 
 /// Sum of the `k` largest scores (masked `-inf` entries skipped). Returns
@@ -178,6 +201,24 @@ mod tests {
                 .map(|&(s, masked)| if masked { f64::NEG_INFINITY } else { s })
                 .collect();
             prop_assert_eq!(top_k_indices(&scores, k), top_k_indices_naive(&scores, k));
+        }
+
+        #[test]
+        fn prop_ranked_and_every_k_match_naive(
+            // Few distinct values, so ties are common; some entries masked.
+            raw in proptest::collection::vec((0u8..6, proptest::bool::ANY), 0..40)) {
+            let scores: Vec<f64> = raw
+                .iter()
+                .map(|&(s, masked)| if masked { f64::NEG_INFINITY } else { s as f64 - 2.5 })
+                .collect();
+            let n = scores.len();
+            prop_assert_eq!(
+                ranked(&scores).collect::<Vec<_>>(),
+                top_k_indices_naive(&scores, n)
+            );
+            for k in 0..=n + 1 {
+                prop_assert_eq!(top_k_indices(&scores, k), top_k_indices_naive(&scores, k));
+            }
         }
     }
 }

@@ -421,14 +421,6 @@ impl<'a> AgentCore<'a> {
                 self.quorum,
             );
             for ev in &quarantine_events {
-                // Dirty-set discipline for the decide-path activation
-                // cache: a breaker transition means this annotator's
-                // standing just changed (and a release usually lands with
-                // a moved quality estimate), so drop its cached partial.
-                // Correctness never depends on this — entries are keyed
-                // by parameter generation and feature bits — but it keeps
-                // the cache from holding rows for benched annotators.
-                self.agent.invalidate_annotator(ev.annotator.index());
                 if ev.entered {
                     obs::counter_add(&self.scoped("quarantine.entered"), 1);
                 } else {
@@ -806,8 +798,6 @@ impl<'a> AgentCore<'a> {
             let d = self.agent.decide_stats().delta_since(&stats_before);
             obs::counter_add(&self.scoped("decide.total_pairs"), d.total_pairs);
             obs::counter_add(&self.scoped("decide.scored_pairs"), d.scored_pairs);
-            obs::counter_add(&self.scoped("decide.cache_hits"), d.cache_hits);
-            obs::counter_add(&self.scoped("decide.cache_misses"), d.cache_misses);
             if d.total_pairs > 0 {
                 obs::gauge_step(
                     &self.scoped("decide.pruned_fraction"),

@@ -136,28 +136,33 @@ service_chaos_smoke() {
 timed "service chaos smoke" service_chaos_smoke
 
 echo "== decide pruning equivalence smoke test =="
-# The decide-path pruning (cached annotator activations + column
-# deduplication) must be invisible end to end: the same
-# small service round in pruned and exhaustive mode must print the
-# identical outcome — labels, accuracies, rounds, budgets, sim time.
-# Only the wall-clock figures (the thing pruning is allowed to change)
-# are stripped before diffing.
-decide_smoke() {
-  local out_pruned out_exhaustive
+# The decide-path pruning (first-layer rows per distinct annotator
+# feature block, column deduplication and the panel walk's allowance
+# stop) must be invisible end to end: the same small service round in
+# pruned and exhaustive mode must print the identical outcome — labels,
+# accuracies, rounds, budgets, sim time. Only the wall-clock figures
+# (the thing pruning is allowed to change) are stripped before diffing.
+# At 40 annotators about half the decide calls fall back to dense
+# scoring; at 400 the grid and the allowance stop carry the comparison.
+decide_smoke_at() {
+  local annotators=$1 out_pruned out_exhaustive
   out_pruned=$(SERVICE_DEMO_PROJECTS=3 SERVICE_DEMO_OBJECTS=60 \
-    SERVICE_DEMO_ANNOTATORS=40 SERVICE_DEMO_DECIDE=pruned \
+    SERVICE_DEMO_ANNOTATORS="$annotators" SERVICE_DEMO_DECIDE=pruned \
     cargo run -q --release --offline --example service_demo |
     sed -E 's/wall [0-9.]+s( \([0-9.]+x\))?//')
   out_exhaustive=$(SERVICE_DEMO_PROJECTS=3 SERVICE_DEMO_OBJECTS=60 \
-    SERVICE_DEMO_ANNOTATORS=40 SERVICE_DEMO_DECIDE=exhaustive \
+    SERVICE_DEMO_ANNOTATORS="$annotators" SERVICE_DEMO_DECIDE=exhaustive \
     cargo run -q --release --offline --example service_demo |
     sed -E 's/wall [0-9.]+s( \([0-9.]+x\))?//')
   if [[ "$out_pruned" != "$out_exhaustive" ]]; then
-    echo "pruned vs exhaustive service outputs diverged:" >&2
+    echo "pruned vs exhaustive service outputs diverged at $annotators annotators:" >&2
     diff <(echo "$out_exhaustive") <(echo "$out_pruned") >&2 || true
     return 1
   fi
-  echo "decide equivalence: pruned == exhaustive service outcome ✓"
+  echo "decide equivalence at $annotators annotators: pruned == exhaustive service outcome ✓"
+}
+decide_smoke() {
+  decide_smoke_at 40 && decide_smoke_at 400
 }
 timed "decide smoke" decide_smoke
 

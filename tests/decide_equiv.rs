@@ -1,8 +1,9 @@
-//! Decide-equivalence battery: the pruned decide path (cached annotator
-//! activations + exact bound-driven shortlists) must produce selections,
-//! panels, traces and spend **bit-identical** to exhaustive scoring —
-//! across pool sizes, execution widths, and under fault injection with
-//! quarantine-driven cache invalidation mid-run. Pruning is a pure
+//! Decide-equivalence battery: the pruned decide path (first-layer rows
+//! per distinct annotator feature block + column deduplication + the
+//! panel walk's allowance stop) must produce selections, panels, traces
+//! and spend **bit-identical** to exhaustive scoring — across pool sizes,
+//! execution widths, and under fault injection with quarantine shrinking
+//! the live pool mid-run. Pruning is a pure
 //! optimization; any divergence here is a correctness bug, never an
 //! acceptable approximation.
 
@@ -92,8 +93,9 @@ fn assert_identical(a: &AsyncOutcome, b: &AsyncOutcome, what: &str) {
 
 #[test]
 fn pruned_matches_exhaustive_across_pool_sizes() {
-    // Shortlist 16 forces real pruning even at the 100-annotator pool;
-    // the larger pools prune most of their columns.
+    // Column dedup prunes even at the 100-annotator pool; the larger
+    // pools prune most of their columns. (The trailing 16 is an unused
+    // leftover argument.)
     for (pool_size, objects) in [(100usize, 30usize), (500, 24), (2_000, 16)] {
         let serve = ServeConfig::default();
         let exhaustive = run(
@@ -146,8 +148,8 @@ fn pruned_matches_exhaustive_across_exec_widths() {
 #[test]
 fn pruned_matches_exhaustive_under_faults_and_quarantine() {
     // Two workers drift into spammers immediately; the breaker trips
-    // mid-run, shrinking the selectable pool and invalidating the
-    // drifted annotators' cached activations. Stochastic faults jitter
+    // mid-run, shrinking the selectable pool and moving the drifted
+    // annotators' feature blocks. Stochastic faults jitter
     // the answer stream on top. The pool is small enough that the
     // drifted annotators actually accrue `min_answers` and trip.
     let faulted = || {
@@ -174,13 +176,13 @@ fn pruned_matches_exhaustive_under_faults_and_quarantine() {
             })
     };
     let (pool_size, objects) = (16usize, 40usize);
-    // Shortlist 6 on a 16-strong pool: pruning stays engaged even as
-    // quarantine shrinks the live pool.
+    // A 16-strong pool: pruning stays engaged even as quarantine
+    // shrinks the live pool.
     let exhaustive = run(pool_size, objects, DecideMode::Exhaustive, 6, faulted());
     let pruned = run(pool_size, objects, DecideMode::Pruned, 6, faulted());
     assert_identical(&exhaustive, &pruned, "faulted + quarantined");
-    // The scenario must actually exercise quarantine-driven invalidation:
-    // at least one breaker has to trip while panels are still being cut.
+    // The scenario must actually exercise quarantine: at least one
+    // breaker has to trip while panels are still being cut.
     assert!(
         pruned
             .trace
@@ -192,8 +194,7 @@ fn pruned_matches_exhaustive_under_faults_and_quarantine() {
 
 #[test]
 fn tiny_shortlist_and_tiny_pool_degrade_gracefully() {
-    // Pool smaller than any sensible shortlist, and a shortlist of 1:
-    // the pruned path must clamp and still match.
+    // A tiny 12-strong pool: the pruned path must still match.
     let serve = ServeConfig::default();
     let exhaustive = run(12, 20, DecideMode::Exhaustive, 1, serve.clone());
     let pruned = run(12, 20, DecideMode::Pruned, 1, serve);

@@ -1,11 +1,11 @@
 //! Property-based staleness hunt for the decide-path pruning engine:
-//! twin agents — one pruned (cached annotator activations + exact
-//! shortlists), one exhaustive — are driven through arbitrary
-//! interleavings of profile updates (quality/load drift), quarantine
-//! and release, slot exhaustion, answer arrival, and online training.
-//! After **every** mutation both agents select from identical inputs
-//! and identically-seeded RNGs; any stale cached activation or unsound
-//! pruning bound shows up as a divergent panel or RNG stream.
+//! twin agents — one pruned (first-layer rows per distinct annotator
+//! feature block + column deduplication), one exhaustive — are driven
+//! through arbitrary interleavings of profile updates (quality/load
+//! drift), quarantine and release, slot exhaustion, answer arrival, and
+//! online training. After **every** mutation both agents select from
+//! identical inputs and identically-seeded RNGs; any stale row or
+//! unsound pruning shows up as a divergent panel or RNG stream.
 
 use std::collections::HashMap;
 
@@ -25,7 +25,7 @@ fn dqn_config() -> DqnConfig {
     DqnConfig {
         hidden: vec![16, 8],
         // Tiny replay gate so the training op actually steps the
-        // parameters (and bumps the cache's params generation).
+        // parameters between selections.
         min_replay: 4,
         batch_size: 4,
         ..DqnConfig::default()
@@ -117,16 +117,15 @@ impl World {
 fn apply(world: &mut World, op: u8, target: usize, value: u16) {
     let j = target % POOL;
     match op % 6 {
-        // Profile update: inferred quality drifts — the cached
-        // activation for j is keyed on these bits and must recompute.
+        // Profile update: inferred quality drifts — j's feature block
+        // changes bits and must get its own first-layer row.
         0 => world.qualities[j] = 0.05 + (value % 90) as f64 / 100.0,
-        // Profile update: load changes (also part of the cache key).
+        // Profile update: load changes (also part of the feature block).
         1 => world.loads[j] = (value % 8) as usize,
-        // Quarantine: j leaves the live pool; serve invalidates its
-        // cache entry (dirty-set discipline).
+        // Quarantine: j leaves the live pool.
         2 => world.quarantined[j] = true,
         // Release from quarantine: j re-enters with whatever profile it
-        // has now — a stale pre-quarantine activation must not be used.
+        // has now — a stale pre-quarantine row must not be used.
         3 => world.quarantined[j] = false,
         // Slot exhaustion / partial refill on the shared pool.
         4 => {
@@ -174,12 +173,6 @@ proptest! {
 
         for (step, &(op, target, value)) in ops.iter().enumerate() {
             apply(&mut world, op, target, value);
-            if op % 6 == 2 || op % 6 == 3 {
-                // Mirror serve's quarantine hook on both twins so the
-                // comparison covers the invalidation path itself.
-                pruned.invalidate_annotator(target % POOL);
-                exhaustive.invalidate_annotator(target % POOL);
-            }
 
             let live = world.live();
             let snapshot = world.snapshot(step);
@@ -195,7 +188,7 @@ proptest! {
             );
             // Identical panels, identical embeddings (the Assignment
             // carries the full per-pick state-action vectors — a stale
-            // cached block would differ even if the argmax survived),
+            // feature block would differ even if the argmax survived),
             // identical RNG consumption.
             prop_assert_eq!(&picks_p, &picks_e, "step {}: panels diverged", step);
             prop_assert_eq!(
@@ -209,7 +202,7 @@ proptest! {
             prop_assert!(stats.scored_pairs <= stats.total_pairs);
 
             // Periodically train both twins on the identical experience
-            // so the cache must survive parameter-generation bumps.
+            // so the pruned rows must follow every parameter update.
             if step % train_every == train_every - 1 && !picks_p.is_empty() {
                 let rewards = vec![0.5; picks_p.len()];
                 let next = vec![vec![0.1; FEATURE_DIM]];
@@ -226,10 +219,9 @@ proptest! {
             }
         }
 
-        // Across the whole interleaving the shortlist must have pruned
-        // real work (column dedup across the tiered pool) and the
-        // activation cache must have been consulted — otherwise this
-        // property tested nothing.
+        // Across the whole interleaving column dedup must have pruned
+        // real work across the tiered pool, and annotators must have
+        // shared feature blocks — otherwise this property tested nothing.
         let stats = pruned.decide_stats();
         prop_assert!(stats.total_pairs > 0);
         prop_assert!(
@@ -238,6 +230,11 @@ proptest! {
             stats.scored_pairs,
             stats.total_pairs
         );
-        prop_assert!(stats.cache_hits + stats.cache_misses > 0);
+        prop_assert!(
+            stats.distinct_blocks < stats.forwarded_annotators,
+            "no annotators shared a feature block: {} blocks for {} annotators",
+            stats.distinct_blocks,
+            stats.forwarded_annotators
+        );
     }
 }
