@@ -1,7 +1,9 @@
 //! Criterion microbenchmarks for the asynchronous labelling runtime:
 //! raw event-queue throughput at 1k / 10k / 100k events, the assignment
-//! ledger's dispatch→deliver cycle, and end-to-end `AsyncRuntime` runs in
-//! both execution modes and both numeric modes.
+//! ledger's dispatch→deliver cycle settled on an `AccountBook` account,
+//! and end-to-end `AsyncRuntime` runs in both execution modes (the
+//! worker-pool row measures a thread cap of 4 around the same pump) and
+//! both numeric modes.
 //!
 //! Unlike the other benches this one has a hand-written `main` so it can
 //! export the measurements to `BENCH_serve.json` at the repository root
@@ -16,11 +18,12 @@ use crowdrl_core::CrowdRlConfig;
 use crowdrl_linalg::NumericMode;
 use crowdrl_obs as obs;
 use crowdrl_serve::{
-    AssignmentLedger, AsyncOutcome, AsyncRuntime, EventKind, EventQueue, ExecMode, ServeConfig,
+    AccountBook, AssignmentLedger, AsyncOutcome, AsyncRuntime, Delivery, EventKind, EventQueue,
+    ExecMode, ServeConfig,
 };
 use crowdrl_sim::{AnnotatorPool, DatasetSpec, PoolSpec};
 use crowdrl_types::rng::seeded;
-use crowdrl_types::{AnnotatorId, AssignmentId, Budget, Dataset, ObjectId, SimTime};
+use crowdrl_types::{AnnotatorId, AssignmentId, Dataset, ObjectId, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -85,24 +88,22 @@ fn queue_cycle(n: usize) -> usize {
     drained
 }
 
-/// Dispatch `n` assignments and deliver every one of them.
+/// Reserve, open, deliver and charge `n` assignments — the settlement
+/// cycle both runtimes run per answer, on the ledger and an account.
 fn ledger_cycle(n: usize) -> f64 {
     let mut ledger = AssignmentLedger::new();
-    let mut budget = Budget::new(n as f64).unwrap();
+    let mut accounts = AccountBook::new();
+    let account = accounts.open(n as f64).unwrap();
     for i in 0..n {
+        accounts.reserve(account, 1.0).unwrap();
         let id = ledger
-            .dispatch(
-                ObjectId(i),
-                AnnotatorId(i % 7),
-                1.0,
-                t(0.0),
-                t(10.0),
-                &budget,
-            )
+            .dispatch_reserved(ObjectId(i), AnnotatorId(i % 7), 1.0, t(0.0), t(10.0))
             .unwrap();
-        ledger.deliver(id, t(1.0), &mut budget).unwrap();
+        if let Delivery::Accepted { cost, .. } = ledger.settle_deliver(id, t(1.0)).unwrap() {
+            accounts.charge(account, cost).unwrap();
+        }
     }
-    budget.spent()
+    accounts.spent(account)
 }
 
 fn serve_fixture() -> (Dataset, AnnotatorPool) {

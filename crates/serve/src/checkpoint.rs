@@ -1,9 +1,12 @@
 //! Crash-consistent checkpoints of a whole asynchronous run.
 //!
 //! A [`RunCheckpoint`] captures everything the runtime needs to continue a
-//! run as if it had never stopped: the pump's service state (clock, event
-//! queue, ledger, budget, answers, metrics, trace) and the agent core's
-//! learning state (classifier, DQN, inference engine, RNG, quarantine).
+//! run as if it had never stopped: the pump's service state (its shard's
+//! clock, event queue and ledger, the budget account, answers, metrics,
+//! trace) and the agent core's learning state (classifier, DQN, inference
+//! engine, RNG, quarantine). The shard, account and metrics records are
+//! the ones the multi-tenant service checkpoints per project, with the
+//! same field tables ([`record_codec!`]).
 //! Killing a run at a checkpoint and [`resuming`](crate::AsyncRuntime::resume)
 //! it must reproduce the uninterrupted run's trace and labels **bit for
 //! bit** — the chaos suite pins that.
@@ -29,7 +32,8 @@
 use crate::core_loop::{CoreState, PendingBatchState};
 use crate::error::ServeError;
 use crate::event::{Event, EventKind, TraceEvent};
-use crate::ledger::{AssignmentRecord, AssignmentStatus};
+use crate::ledger::{AccountState, AssignmentRecord, AssignmentStatus};
+use crate::metrics::MetricsCollector;
 use crate::supervisor::QuarantineStatus;
 use crowdrl_core::agent::{AgentState, Assignment};
 use crowdrl_core::IterationStats;
@@ -48,57 +52,52 @@ use crowdrl_types::{
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-/// Format version stamped into every checkpoint.
-const VERSION: usize = 1;
+/// Format version stamped into every checkpoint. Version 2 builds the
+/// pump state from the shard, account and metrics records the service
+/// checkpoint uses too; version 1 documents are refused.
+const VERSION: usize = 2;
+
+/// One shard frozen between settlements: its event queue, ledger slice,
+/// id/label mappings and merge frontier.
+#[derive(Debug, Clone)]
+pub struct ShardState {
+    /// The shard clock (event-queue `now`).
+    pub now: SimTime,
+    /// Event-queue sequence counter.
+    pub next_seq: u64,
+    /// Pending events in deterministic (pop) order.
+    pub events: Vec<Event>,
+    /// Every ledger record this shard ever issued, in local-id order.
+    pub records: Vec<AssignmentRecord>,
+    /// Shard-local assignment id → trace id.
+    pub uids: Vec<u64>,
+    /// Shard-local assignment id → sampled label (`None` = dropped).
+    pub labels: Vec<Option<ClassId>>,
+    /// The horizon the shard was last advanced to.
+    pub frontier: SimTime,
+}
 
 /// The pump's complete service state at a watermark boundary.
 #[derive(Debug, Clone)]
 pub struct PumpCheckpoint {
-    /// Simulated clock reading.
-    pub now: SimTime,
-    /// Event-queue sequence counter.
-    pub next_seq: u64,
-    /// Pending events in deterministic (pop) order, sequence numbers
-    /// preserved.
-    pub events: Vec<Event>,
-    /// Every ledger record ever issued, in id order.
-    pub records: Vec<AssignmentRecord>,
-    /// Budget ceiling.
-    pub budget_total: f64,
-    /// Exact accumulated spend (bit-level — float sums are order-dependent).
-    pub budget_spent: f64,
-    /// Successful charges so far.
-    pub budget_charges: usize,
+    /// The run's one shard: clock, event queue, ledger, sampled labels.
+    pub shard: ShardState,
+    /// The run's budget account (exact spend and reservation bits).
+    pub account: AccountState,
     /// All recorded answers.
     pub answers: AnswerSet,
-    /// Delivered-answer latencies in arrival order.
-    pub latencies: Vec<f64>,
-    /// Metrics counter: questions dispatched.
-    pub dispatched: usize,
-    /// Metrics counter: answers delivered.
-    pub delivered: usize,
-    /// Metrics counter: answers rejected.
-    pub rejected: usize,
-    /// Metrics counter: timeouts fired.
-    pub timeouts: usize,
-    /// Metrics counter: objects requeued.
-    pub requeues: usize,
-    /// Metrics counter: refreshes run.
-    pub refreshes: usize,
-    /// Metrics counter: events processed.
-    pub events_processed: usize,
-    /// The observable trace so far.
-    pub trace: Vec<TraceEvent>,
-    /// Sampled label per assignment id (None = dropped).
-    pub labels_by_id: Vec<Option<ClassId>>,
-    /// Per-object requeue counts.
-    pub requeue_count: Vec<usize>,
-    /// Objects whose requeue budget is exhausted, ascending.
-    pub abandoned: Vec<ObjectId>,
-    /// Per-object supervisor backoff deadlines (absolute sim time).
-    pub backoff_until: Vec<f64>,
     /// Answers since the last refresh.
     pub answers_since: usize,
+    /// Per-object requeue counts.
+    pub requeues: Vec<usize>,
+    /// Objects whose requeue budget is exhausted, ascending.
+    pub abandoned: Vec<ObjectId>,
+    /// Raw metrics counters.
+    pub collector: MetricsCollector,
+    /// The observable trace so far.
+    pub trace: Vec<TraceEvent>,
+    /// Per-object supervisor backoff deadlines (absolute sim time).
+    pub backoff_until: Vec<f64>,
     /// When the last refresh ran.
     pub last_refresh: SimTime,
 }
@@ -199,14 +198,42 @@ record_codec! {
 
 record_codec! {
     PumpCheckpoint: enc_pump / dec_pump {
+        "shard" => shard: enc_shard, get_record(dec_shard);
+        "account" => account: enc_account, get_record(dec_account);
+        "answers" => answers: enc_answers, dec_answers;
+        "answers_since" => answers_since: num, get_usize;
+        "requeues" => requeues: usizes, arr_usize;
+        "abandoned" => abandoned: object_ids, get_object_ids;
+        "collector" => collector: enc_collector, get_record(dec_collector);
+        "trace" => trace: list(enc_trace_event), get_list(dec_trace_event);
+        "backoff_until" => backoff_until: f64s, get_f64s;
+        "last_refresh" => last_refresh: sim_time, get_sim_time;
+    }
+}
+
+record_codec! {
+    pub ShardState: enc_shard / dec_shard {
         "now" => now: sim_time, get_sim_time;
         "next_seq" => next_seq: hex_u64, get_hex_u64;
         "events" => events: list(enc_event), get_list(dec_event);
         "records" => records: list(enc_record), get_list(dec_record);
-        "budget_total" => budget_total: bits_f64, get_f64_bits;
-        "budget_spent" => budget_spent: bits_f64, get_f64_bits;
-        "budget_charges" => budget_charges: num, get_usize;
-        "answers" => answers: enc_answers, dec_answers;
+        "uids" => uids: hex_u64s, get_hex_u64s;
+        "labels" => labels: opt_classes, get_opt_classes;
+        "frontier" => frontier: sim_time, get_sim_time;
+    }
+}
+
+record_codec! {
+    pub AccountState: enc_account / dec_account {
+        "total" => total: bits_f64, get_f64_bits;
+        "spent" => spent: bits_f64, get_f64_bits;
+        "charges" => charges: num, get_usize;
+        "reserved" => reserved: bits_f64, get_f64_bits;
+    }
+}
+
+record_codec! {
+    pub MetricsCollector: enc_collector / dec_collector {
         "latencies" => latencies: f64s, get_f64s;
         "dispatched" => dispatched: num, get_usize;
         "delivered" => delivered: num, get_usize;
@@ -214,14 +241,7 @@ record_codec! {
         "timeouts" => timeouts: num, get_usize;
         "requeues" => requeues: num, get_usize;
         "refreshes" => refreshes: num, get_usize;
-        "events_processed" => events_processed: num, get_usize;
-        "trace" => trace: list(enc_trace_event), get_list(dec_trace_event);
-        "labels_by_id" => labels_by_id: opt_classes, get_opt_classes;
-        "requeue_count" => requeue_count: usizes, arr_usize;
-        "abandoned" => abandoned: object_ids, get_object_ids;
-        "backoff_until" => backoff_until: f64s, get_f64s;
-        "answers_since" => answers_since: num, get_usize;
-        "last_refresh" => last_refresh: sim_time, get_sim_time;
+        "events" => events: num, get_usize;
     }
 }
 
@@ -626,7 +646,8 @@ pub fn opt_classes(xs: &[Option<ClassId>]) -> Value {
     Value::Arr(xs.iter().map(|l| opt(*l, |c| num(c.0))).collect())
 }
 
-fn get_opt_classes(v: &Value, key: &str) -> Result<Vec<Option<ClassId>>> {
+/// Decode an optional-class-labels field.
+pub fn get_opt_classes(v: &Value, key: &str) -> Result<Vec<Option<ClassId>>> {
     get_elems(v, key, |x| match x {
         Value::Null => Some(None),
         x => count_of(x).map(|c| Some(ClassId(c))),
@@ -678,8 +699,13 @@ fn get_booleans(v: &Value, key: &str) -> Result<Vec<bool>> {
     })
 }
 
+/// Decode an array field of 16-hex-digit `u64`s.
+pub fn get_hex_u64s(v: &Value, key: &str) -> Result<Vec<u64>> {
+    get_elems(v, key, hex_of)
+}
+
 fn get_rng(v: &Value, key: &str) -> Result<[u64; 4]> {
-    let words: Vec<u64> = get_elems(v, key, hex_of)?;
+    let words = get_hex_u64s(v, key)?;
     words
         .try_into()
         .map_err(|_| corrupt(format!("{key}: expected exactly 4 words")))
@@ -1095,41 +1121,54 @@ mod tests {
             })
             .unwrap();
         let pump = PumpCheckpoint {
-            now: t(4.5),
-            next_seq: 7,
-            events: vec![
-                Event {
-                    at: t(5.0),
-                    seq: 3,
-                    kind: EventKind::Deliver(AssignmentId(1)),
-                },
-                Event {
-                    at: t(6.0),
-                    seq: 5,
-                    kind: EventKind::Expire(AssignmentId(1)),
-                },
-            ],
-            records: vec![AssignmentRecord {
-                id: AssignmentId(0),
-                object: ObjectId(0),
-                annotator: AnnotatorId(1),
-                cost: 1.25,
-                dispatched_at: t(0.0),
-                deadline: t(8.0),
-                status: AssignmentStatus::Delivered,
-            }],
-            budget_total: 100.0,
-            budget_spent: 0.1 + 0.2, // deliberately not 0.3 exactly
-            budget_charges: 2,
+            shard: ShardState {
+                now: t(4.5),
+                next_seq: 7,
+                events: vec![
+                    Event {
+                        at: t(5.0),
+                        seq: 3,
+                        kind: EventKind::Deliver(AssignmentId(1)),
+                    },
+                    Event {
+                        at: t(6.0),
+                        seq: 5,
+                        kind: EventKind::Expire(AssignmentId(1)),
+                    },
+                ],
+                records: vec![AssignmentRecord {
+                    id: AssignmentId(0),
+                    object: ObjectId(0),
+                    annotator: AnnotatorId(1),
+                    cost: 1.25,
+                    dispatched_at: t(0.0),
+                    deadline: t(8.0),
+                    status: AssignmentStatus::Delivered,
+                }],
+                uids: vec![0, 1],
+                labels: vec![Some(ClassId(1)), None],
+                frontier: SimTime::ZERO,
+            },
+            account: AccountState {
+                total: 100.0,
+                spent: 0.1 + 0.2, // deliberately not 0.3 exactly
+                charges: 2,
+                reserved: 1.25,
+            },
             answers,
-            latencies: vec![1.5, f64::MIN_POSITIVE],
-            dispatched: 4,
-            delivered: 2,
-            rejected: 1,
-            timeouts: 1,
-            requeues: 1,
-            refreshes: 2,
-            events_processed: 9,
+            answers_since: 1,
+            requeues: vec![0, 2, 0],
+            abandoned: vec![ObjectId(1)],
+            collector: MetricsCollector {
+                latencies: vec![1.5, f64::MIN_POSITIVE],
+                dispatched: 4,
+                delivered: 2,
+                rejected: 1,
+                timeouts: 1,
+                requeues: 1,
+                refreshes: 2,
+                events: 9,
+            },
             trace: vec![
                 TraceEvent::Dispatched {
                     at: t(0.0),
@@ -1147,11 +1186,7 @@ mod tests {
                     annotator: AnnotatorId(2),
                 },
             ],
-            labels_by_id: vec![Some(ClassId(1)), None],
-            requeue_count: vec![0, 2, 0],
-            abandoned: vec![ObjectId(1)],
             backoff_until: vec![0.0, 9.5, 0.0],
-            answers_since: 1,
             last_refresh: t(4.0),
         };
         let core = CoreState {
@@ -1259,8 +1294,8 @@ mod tests {
         let back = RunCheckpoint::decode(&text).unwrap();
         assert_eq!(back.fingerprint, ck.fingerprint);
         assert_eq!(
-            back.pump.budget_spent.to_bits(),
-            ck.pump.budget_spent.to_bits()
+            back.pump.account.spent.to_bits(),
+            ck.pump.account.spent.to_bits()
         );
         assert_eq!(back.pump.trace, ck.pump.trace);
         assert_eq!(back.core.rng, ck.core.rng);
@@ -1285,7 +1320,7 @@ mod tests {
         // pair; this pins the wire format itself (key names, value
         // encodings), so a renamed or re-encoded field fails here.
         let text = sample_checkpoint().encode();
-        assert_eq!(fnv1a(text.as_bytes()), 0x5af5_7f50_fb9c_15c6);
+        assert_eq!(fnv1a(text.as_bytes()), 0x012a_f1fa_bb77_4f25);
     }
 
     #[test]
@@ -1294,8 +1329,16 @@ mod tests {
         let text = ck.encode();
         assert!(RunCheckpoint::decode("not json").is_err());
         assert!(RunCheckpoint::decode("{}").is_err());
-        let wrong_version = text.replacen("\"version\":1", "\"version\":99", 1);
+        let wrong_version = text.replacen("\"version\":2", "\"version\":99", 1);
         assert!(RunCheckpoint::decode(&wrong_version).is_err());
+        // A version-1 document (the pre-shard pump layout) is refused
+        // with the typed version error, not misread.
+        let v1 = text.replacen("\"version\":2", "\"version\":1", 1);
+        assert_eq!(
+            RunCheckpoint::decode(&v1).unwrap_err(),
+            ServeError::CorruptCheckpoint("unsupported checkpoint version 1 (expected 2)".into())
+                .into()
+        );
         // Truncating a hex blob breaks the fixed-width invariant.
         let truncated = text.replacen("3ff8000000000000", "3ff800000000000", 1);
         assert!(RunCheckpoint::decode(&truncated).is_err());

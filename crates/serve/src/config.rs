@@ -1,22 +1,51 @@
 //! Configuration of the asynchronous runtime.
 
 use crate::supervisor::{QuarantineConfig, SupervisorConfig};
+use crowdrl_linalg::pool as tpool;
 use crowdrl_sim::{DynamicsSpec, FaultPlan};
 use crowdrl_types::{Error, Result};
 
-/// How the runtime executes.
+/// How a run executes. Not a choice of algorithm: the single-run pump
+/// and the multi-tenant service each run one implementation, and the
+/// mode only caps the shared `crowdrl-linalg` thread pool (matmul, EM
+/// chunks, DQN scoring, the service's shard fan-out) for the run. Every
+/// parallel section is bit-identical at any width, so both modes
+/// produce the same trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Everything on the calling thread — the reference execution. The
-    /// worker-pool mode must reproduce its trace bit for bit.
+    /// Cap the pool at one thread — everything on the calling thread.
     SingleThread,
-    /// A crossbeam worker pool samples annotator responses and a
-    /// dedicated agent thread runs inference/scoring, overlapping DQN
-    /// training with event pumping.
+    /// Cap the pool at `workers` threads.
     WorkerPool {
-        /// Sampler threads (0 = available parallelism).
+        /// The thread cap; at least 1.
         workers: usize,
     },
+}
+
+impl ExecMode {
+    /// Reject a worker pool without workers.
+    pub fn validate(self) -> Result<()> {
+        match self {
+            ExecMode::WorkerPool { workers: 0 } => Err(Error::InvalidParameter(
+                "worker pool must have at least one worker".into(),
+            )),
+            _ => Ok(()),
+        }
+    }
+
+    /// Run `f` with the shared thread pool capped at this mode's width,
+    /// restoring the previous cap afterwards.
+    pub fn capped<T>(self, f: impl FnOnce() -> T) -> T {
+        let threads = match self {
+            ExecMode::SingleThread => 1,
+            ExecMode::WorkerPool { workers } => workers,
+        };
+        let previous = tpool::max_threads();
+        tpool::set_threads(threads);
+        let out = f();
+        tpool::set_threads(previous);
+        out
+    }
 }
 
 /// Knobs of the asynchronous labelling service.
@@ -35,15 +64,15 @@ pub struct ServeConfig {
     /// How many timeouts an object may accumulate before the service
     /// abandons it to the classifier fallback.
     pub max_requeues: usize,
-    /// Execution mode.
+    /// Execution mode: the thread cap for the run.
     pub mode: ExecMode,
     /// Annotator latency/availability models (per-tier means; per-
     /// annotator dynamics are generated from the run's RNG).
     pub dynamics: DynamicsSpec,
     /// Seed of the per-assignment sampling streams. Response label,
     /// latency and availability of assignment `i` are drawn from a stream
-    /// derived from `(sampling_seed, i)`, which is what makes the
-    /// worker-pool trace identical to the single-threaded one.
+    /// derived from `(sampling_seed, i)`, so no draw depends on the
+    /// order or thread that settles it.
     pub sampling_seed: u64,
     /// Deterministic fault injection applied to sampled outcomes
     /// (no-shows, abandonment, stragglers, outages, duplicates, drift).
@@ -97,6 +126,7 @@ impl ServeConfig {
                 self.time_watermark
             )));
         }
+        self.mode.validate()?;
         self.faults.validate()?;
         self.supervisor.validate()?;
         self.quarantine.validate()?;
@@ -204,6 +234,22 @@ mod tests {
             .with_quarantine(quar)
             .validate()
             .is_err());
+    }
+
+    #[test]
+    fn a_worker_pool_needs_a_worker() {
+        let pool = |workers| ServeConfig::default().with_mode(ExecMode::WorkerPool { workers });
+        assert!(pool(0).validate().is_err());
+        assert!(pool(1).validate().is_ok());
+        assert!(ExecMode::SingleThread.validate().is_ok());
+    }
+
+    #[test]
+    fn the_thread_cap_is_restored_after_the_run() {
+        let before = tpool::max_threads();
+        let inside = ExecMode::SingleThread.capped(tpool::max_threads);
+        assert_eq!(inside, 1);
+        assert_eq!(tpool::max_threads(), before);
     }
 
     #[test]

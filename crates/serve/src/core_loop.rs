@@ -3,11 +3,10 @@
 //! Everything the *agent* does — truth inference, trust tracking,
 //! enrichment, reward credit, DQN training, and the next batch of
 //! assignments — lives in [`AgentCore`], one struct with no knowledge of
-//! threads or event queues. The single-threaded mode calls its methods
-//! inline; the worker-pool mode moves it onto a dedicated thread and
-//! feeds it the same calls through a channel. Identical call sequence +
-//! one owned RNG = identical decisions in both modes, which is the whole
-//! determinism story on the scoring side.
+//! threads or event queues. The single-run pump keeps one; the
+//! multi-tenant service keeps one per project. Identical call sequence +
+//! one owned RNG = identical decisions at any thread cap, which is the
+//! whole determinism story on the scoring side.
 //!
 //! The loop body intentionally mirrors [`CrowdRl::run`]'s iteration
 //! (selection → inference → trust → enrichment → reward → train); what
@@ -106,15 +105,6 @@ pub struct RefreshReply {
     /// Circuit-breaker transitions this refresh caused (empty unless
     /// quarantine is enabled), for the pump's trace.
     pub quarantine: Vec<QuarantineEvent>,
-}
-
-/// Final accounting handed to [`AgentCore::finalize`].
-#[derive(Debug, Clone)]
-pub struct FinalizeRequest {
-    /// All answers ingested over the run.
-    pub answers: Arc<AnswerSet>,
-    /// Real budget charges.
-    pub budget_spent: f64,
 }
 
 /// A decided batch awaiting reward credit at the next refresh.
@@ -616,9 +606,8 @@ impl<'a> AgentCore<'a> {
         })
     }
 
-    /// DQN training for one refresh. Called right after [`refresh`]'s
-    /// reply is dispatched — on the agent thread this overlaps with event
-    /// pumping. The TD loss lands in the trace entry the refresh opened.
+    /// DQN training for one refresh. Called right after [`refresh`]; the
+    /// TD loss lands in the trace entry the refresh opened.
     ///
     /// [`refresh`]: AgentCore::refresh
     pub fn train(&mut self) {
@@ -640,18 +629,19 @@ impl<'a> AgentCore<'a> {
     }
 
     /// Close the run: residual MAP labels, classifier fallback, enriched-
-    /// label refresh, and the final [`LabellingOutcome`] — the same
-    /// closing sequence as the batch workflow, so outcomes are comparable.
-    pub fn finalize(&mut self, req: &FinalizeRequest) -> Result<LabellingOutcome> {
-        if !self.labelled.all_labelled() && req.answers.total_answers() > 0 {
+    /// label refresh, and the final [`LabellingOutcome`] over every answer
+    /// the run took in and its real budget charges — the same closing
+    /// sequence as the batch workflow, so outcomes are comparable.
+    pub fn finalize(&mut self, answers: &AnswerSet, budget_spent: f64) -> Result<LabellingOutcome> {
+        if !self.labelled.all_labelled() && answers.total_answers() > 0 {
             // A warm engine reuses the last refresh's result when no new
             // answers arrived since — finalize then costs one clone.
-            let trusted = self.trusted_answers(&req.answers)?;
+            let trusted = self.trusted_answers(answers)?;
             let final_result = run_inference_step(
                 &mut self.engine,
                 &self.config.inference,
                 self.dataset,
-                trusted.as_ref().unwrap_or(&req.answers),
+                trusted.as_ref().unwrap_or(answers),
                 self.pool,
                 &mut self.classifier,
                 &mut self.rng,
@@ -689,9 +679,9 @@ impl<'a> AgentCore<'a> {
         Ok(LabellingOutcome {
             labels: self.labelled.to_labels(),
             label_states,
-            budget_spent: req.budget_spent,
+            budget_spent,
             iterations: self.trace.len(),
-            total_answers: req.answers.total_answers(),
+            total_answers: answers.total_answers(),
             enriched_count,
             fallback_count,
             trace: self.trace.clone(),

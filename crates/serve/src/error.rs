@@ -23,8 +23,6 @@ pub enum ServeError {
         /// Length of the table it missed.
         len: usize,
     },
-    /// The agent thread hung up mid-run (panicked or dropped its channel).
-    AgentGone,
     /// A checkpoint failed to decode: truncated, mis-typed, or from a
     /// different build of the serializer.
     CorruptCheckpoint(String),
@@ -49,7 +47,6 @@ impl fmt::Display for ServeError {
                     "object {object:?} out of range for table of length {len}"
                 )
             }
-            Self::AgentGone => write!(f, "agent thread disconnected"),
             Self::CorruptCheckpoint(why) => write!(f, "corrupt checkpoint: {why}"),
             Self::ConfigMismatch { expected, actual } => write!(
                 f,
@@ -95,7 +92,7 @@ mod tests {
 
     #[test]
     fn conversion_routes_by_kind() {
-        match Error::from(ServeError::AgentGone) {
+        match Error::from(ServeError::MissingLabel(AssignmentId(1))) {
             Error::ServiceFailure(_) => {}
             other => panic!("expected ServiceFailure, got {other:?}"),
         }

@@ -1,26 +1,31 @@
-//! The in-flight assignment ledger: exactly-once budget accounting.
+//! The in-flight assignment ledger and the budget accounts it settles
+//! against: exactly-once accounting.
 //!
 //! Asynchrony is where budget bugs live: an answer can arrive after its
 //! timeout already fired, twice (a retry), or for an (object, annotator)
-//! pair that was requeued and re-asked in the meantime. The ledger makes
-//! the money side of all of that single-entry:
+//! pair that was requeued and re-asked in the meantime. The two halves
+//! make the money side of all of that single-entry:
 //!
-//! * **Reservation at dispatch.** Dispatching reserves the assignment's
-//!   cost against the budget; `spent + reserved` can never exceed the
-//!   total, so the service cannot over-commit no matter how many answers
-//!   later materialize.
+//! * **Reservation at dispatch.** The caller reserves the assignment's
+//!   cost on its [`AccountBook`] account, then opens the record with
+//!   [`AssignmentLedger::dispatch_reserved`]; `spent + reserved` can never
+//!   exceed the account's total, so a run cannot over-commit no matter
+//!   how many answers later materialize.
 //! * **Charge on delivery, exactly once.** Only an assignment still
-//!   `InFlight` can deliver; delivery atomically moves the reservation to
-//!   a real charge. A second delivery, or a delivery after expiry, is
-//!   rejected without touching the budget.
-//! * **Release on expiry.** Expiry frees the reservation and the
-//!   (object, annotator) pair, so the pair can be re-asked under a new
-//!   assignment id (a fresh question, a fresh reservation).
+//!   `InFlight` can deliver ([`AssignmentLedger::settle_deliver`]); the
+//!   transition fires at most once per record, and the caller moves the
+//!   returned cost from reservation to a real charge. A second delivery,
+//!   or a delivery after expiry, is rejected and charges nothing.
+//! * **Release on expiry.** [`AssignmentLedger::settle_expire`] frees the
+//!   (object, annotator) pair and returns the reservation to release, so
+//!   the pair can be re-asked under a new assignment id.
 //!
 //! At most one live assignment exists per (object, annotator) pair, and a
 //! delivered pair is locked forever — so a pair is *charged* at most once
 //! across the whole run, which is the property the proptest suite
-//! hammers with arbitrary dispatch/deliver/expire interleavings.
+//! hammers with arbitrary dispatch/deliver/expire interleavings. The
+//! ledger itself holds no money: [`AccountBook`] is the only place
+//! budgets and reservations live.
 
 use crowdrl_types::{AnnotatorId, AssignmentId, Budget, Error, ObjectId, Result, SimTime};
 use std::collections::HashSet;
@@ -59,9 +64,9 @@ pub struct AssignmentRecord {
 /// Outcome of presenting an answer to the ledger.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Delivery {
-    /// The answer is fresh and on time; `cost` was charged to the budget.
+    /// The answer is fresh and on time; the caller charges `cost`.
     Accepted {
-        /// What was charged.
+        /// What to charge: the assignment's reservation.
         cost: f64,
         /// Answer latency (arrival − dispatch).
         latency: SimTime,
@@ -74,10 +79,10 @@ pub enum Delivery {
 /// Outcome of firing an assignment's timeout.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Expiry {
-    /// The answer never arrived; the reservation (`cost`) was released
-    /// and the (object, annotator) pair freed for re-dispatch.
+    /// The answer never arrived; the (object, annotator) pair is freed
+    /// for re-dispatch and the caller releases the reservation.
     TimedOut {
-        /// The released reservation.
+        /// The reservation to release.
         cost: f64,
     },
     /// The assignment was already delivered (or already expired) —
@@ -85,12 +90,11 @@ pub enum Expiry {
     AlreadySettled,
 }
 
-/// The in-flight assignment ledger. Owns reservations; the [`Budget`] it
-/// is used with records only *real* spend.
+/// The in-flight assignment ledger: every assignment's lifecycle and the
+/// live (object, annotator) claims. Money lives in [`AccountBook`].
 #[derive(Debug, Default)]
 pub struct AssignmentLedger {
     records: Vec<AssignmentRecord>,
-    reserved: f64,
     /// Pairs with a live claim: one in-flight assignment, or a delivered
     /// answer (locked forever). Expired assignments release their pair.
     pairs: HashSet<(ObjectId, AnnotatorId)>,
@@ -100,11 +104,6 @@ impl AssignmentLedger {
     /// An empty ledger.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Total budget currently reserved by in-flight assignments.
-    pub fn reserved(&self) -> f64 {
-        self.reserved
     }
 
     /// Number of in-flight assignments.
@@ -136,45 +135,10 @@ impl AssignmentLedger {
         self.pairs.contains(&(object, annotator))
     }
 
-    /// Whether a dispatch of `cost` would fit the budget after existing
-    /// reservations.
-    pub fn can_reserve(&self, cost: f64, budget: &Budget) -> bool {
-        budget.spent() + self.reserved + cost <= budget.total() + 1e-9
-    }
-
-    /// Dispatch a question: reserve `cost` and open an in-flight record.
-    ///
-    /// Fails if the pair already holds a live claim or the reservation
-    /// would over-commit the budget — dispatch-time checks are what let
-    /// delivery charge unconditionally.
-    pub fn dispatch(
-        &mut self,
-        object: ObjectId,
-        annotator: AnnotatorId,
-        cost: f64,
-        now: SimTime,
-        deadline: SimTime,
-        budget: &Budget,
-    ) -> Result<AssignmentId> {
-        if cost.is_finite()
-            && cost >= 0.0
-            && deadline >= now
-            && !self.pairs.contains(&(object, annotator))
-            && !self.can_reserve(cost, budget)
-        {
-            return Err(Error::BudgetExhausted {
-                requested: cost,
-                remaining: (budget.remaining() - self.reserved).max(0.0),
-            });
-        }
-        self.dispatch_reserved(object, annotator, cost, now, deadline)
-    }
-
-    /// Dispatch a question whose budget check is made *elsewhere* — the
-    /// multi-tenant service reserves against a per-project
-    /// [`AccountBook`] account before calling this. All structural checks
-    /// (cost validity, deadline ordering, live-pair uniqueness) still
-    /// apply; only the budget-fit check is skipped.
+    /// Dispatch a question whose cost the caller already reserved on its
+    /// [`AccountBook`] account: open an in-flight record. Fails on an
+    /// invalid cost, a deadline before `now`, or a pair that already
+    /// holds a live claim.
     pub fn dispatch_reserved(
         &mut self,
         object: ObjectId,
@@ -208,36 +172,17 @@ impl AssignmentLedger {
             deadline,
             status: AssignmentStatus::InFlight,
         });
-        self.reserved += cost;
         self.pairs.insert((object, annotator));
         Ok(id)
     }
 
     /// Present an answer for `id` arriving at `now`.
     ///
-    /// Exactly-once: only an `InFlight` record accepts, and acceptance
-    /// moves the reservation to a charge atomically. Everything else —
-    /// late answers, duplicates — is `Rejected` with no budget effect.
-    pub fn deliver(
-        &mut self,
-        id: AssignmentId,
-        now: SimTime,
-        budget: &mut Budget,
-    ) -> Result<Delivery> {
-        let delivery = self.settle_deliver(id, now)?;
-        if let Delivery::Accepted { cost, .. } = delivery {
-            budget.charge(cost)?;
-        }
-        Ok(delivery)
-    }
-
-    /// Settle a delivery against the ledger only: the `InFlight →
-    /// Delivered` transition and the reservation release, without
-    /// charging any budget. The caller owns the charge — the service
-    /// layer charges the owning project's account instead of a single
-    /// run-wide [`Budget`]. Exactly-once still holds: the transition
-    /// fires at most once per record, so at most one charge per record
-    /// can ever follow.
+    /// Exactly-once: only an `InFlight` record accepts, moving to
+    /// `Delivered`; the caller charges the returned cost to its account.
+    /// Everything else — late answers, duplicates — is `Rejected`, and
+    /// nothing may be charged for it. The transition fires at most once
+    /// per record, so at most one charge per record can ever follow.
     pub fn settle_deliver(&mut self, id: AssignmentId, now: SimTime) -> Result<Delivery> {
         let record = self
             .records
@@ -247,15 +192,15 @@ impl AssignmentLedger {
             return Ok(Delivery::Rejected);
         }
         record.status = AssignmentStatus::Delivered;
-        self.reserved = (self.reserved - record.cost).max(0.0);
         Ok(Delivery::Accepted {
             cost: record.cost,
             latency: now - record.dispatched_at,
         })
     }
 
-    /// Fire the timeout of `id`.
-    pub fn expire(&mut self, id: AssignmentId) -> Result<Expiry> {
+    /// Fire the timeout of `id`: an `InFlight` record expires and frees
+    /// its pair; the caller releases the returned reservation.
+    pub fn settle_expire(&mut self, id: AssignmentId) -> Result<Expiry> {
         let record = self
             .records
             .get_mut(id.0 as usize)
@@ -264,32 +209,22 @@ impl AssignmentLedger {
             return Ok(Expiry::AlreadySettled);
         }
         record.status = AssignmentStatus::Expired;
-        self.reserved = (self.reserved - record.cost).max(0.0);
         let pair = (record.object, record.annotator);
         let cost = record.cost;
         self.pairs.remove(&pair);
         Ok(Expiry::TimedOut { cost })
     }
 
-    /// [`expire`](Self::expire) under its service-layer name: expiry
-    /// never touches a budget, so the settlement and the classic call
-    /// are the same operation.
-    pub fn settle_expire(&mut self, id: AssignmentId) -> Result<Expiry> {
-        self.expire(id)
-    }
-
     /// Every record ever issued, in dispatch (id) order — the ledger's
-    /// whole state, since reservations and pair claims derive from it.
+    /// whole state, since the pair claims derive from it.
     pub fn records(&self) -> &[AssignmentRecord] {
         &self.records
     }
 
-    /// Rebuild a ledger from checkpointed records. `reserved` and the
-    /// pair-claim set are re-derived: in-flight records reserve their
-    /// cost and claim their pair, delivered records claim their pair
-    /// forever, expired records claim nothing.
+    /// Rebuild a ledger from checkpointed records. The pair-claim set is
+    /// re-derived: in-flight records claim their pair, delivered records
+    /// claim it forever, expired records claim nothing.
     pub fn restore(records: Vec<AssignmentRecord>) -> Result<Self> {
-        let mut reserved = 0.0;
         let mut pairs = HashSet::new();
         for (i, r) in records.iter().enumerate() {
             if r.id.0 as usize != i {
@@ -298,22 +233,11 @@ impl AssignmentLedger {
                     r.id
                 )));
             }
-            match r.status {
-                AssignmentStatus::InFlight => {
-                    reserved += r.cost;
-                    pairs.insert((r.object, r.annotator));
-                }
-                AssignmentStatus::Delivered => {
-                    pairs.insert((r.object, r.annotator));
-                }
-                AssignmentStatus::Expired => {}
+            if r.status != AssignmentStatus::Expired {
+                pairs.insert((r.object, r.annotator));
             }
         }
-        Ok(Self {
-            records,
-            reserved,
-            pairs,
-        })
+        Ok(Self { records, pairs })
     }
 
     /// Objects with at least one in-flight assignment.
@@ -326,7 +250,7 @@ impl AssignmentLedger {
     }
 }
 
-/// One project's money: its own [`Budget`] plus its own outstanding
+/// One account's money: its own [`Budget`] plus its own outstanding
 /// reservations. Private to the book — all mutation goes through
 /// [`AccountBook`] so the cross-charge guard cannot be bypassed.
 #[derive(Debug)]
@@ -335,11 +259,12 @@ struct Account {
     reserved: f64,
 }
 
-/// Per-project budget accounts for the multi-tenant service.
+/// Budget accounts: the single-run pump opens one, the multi-tenant
+/// service one per project.
 ///
-/// Each account carries the same exactly-once discipline the single-run
-/// ledger enforces — reserve at dispatch, charge on delivery, release on
-/// expiry — but isolated per project: `spent + reserved ≤ total` holds
+/// Each account carries the exactly-once discipline the ledger's
+/// settlements drive — reserve at dispatch, charge on delivery, release
+/// on expiry — isolated per account: `spent + reserved ≤ total` holds
 /// account by account, so a project that exhausts its budget cannot
 /// reserve a cent of another's. Charging or releasing more than an
 /// account has reserved is an error, not a silent clamp: that is the
@@ -526,129 +451,126 @@ mod tests {
         SimTime::new(x).unwrap()
     }
 
+    /// Reserve on the account, then open the record — the dispatch both
+    /// runtimes perform.
+    fn dispatch(
+        ledger: &mut AssignmentLedger,
+        book: &mut AccountBook,
+        object: usize,
+        annotator: usize,
+        cost: f64,
+        now: f64,
+    ) -> Result<AssignmentId> {
+        book.reserve(0, cost)?;
+        ledger.dispatch_reserved(
+            ObjectId(object),
+            AnnotatorId(annotator),
+            cost,
+            t(now),
+            t(now + 5.0),
+        )
+    }
+
+    /// Settle a delivery and charge what it accepted.
+    fn deliver(
+        ledger: &mut AssignmentLedger,
+        book: &mut AccountBook,
+        id: AssignmentId,
+        now: f64,
+    ) -> Delivery {
+        let delivery = ledger.settle_deliver(id, t(now)).unwrap();
+        if let Delivery::Accepted { cost, .. } = delivery {
+            book.charge(0, cost).unwrap();
+        }
+        delivery
+    }
+
+    fn one_account(total: f64) -> AccountBook {
+        let mut book = AccountBook::new();
+        book.open(total).unwrap();
+        book
+    }
+
     #[test]
     fn dispatch_reserves_and_delivery_charges_once() {
         let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(10.0).unwrap();
-        let id = ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 3.0, t(0.0), t(5.0), &budget)
-            .unwrap();
-        assert_eq!(ledger.reserved(), 3.0);
-        assert_eq!(budget.spent(), 0.0);
-        let d = ledger.deliver(id, t(2.0), &mut budget).unwrap();
+        let mut book = one_account(10.0);
+        let id = dispatch(&mut ledger, &mut book, 0, 0, 3.0, 0.0).unwrap();
+        assert_eq!(book.reserved(0), 3.0);
+        assert_eq!(book.spent(0), 0.0);
         assert_eq!(
-            d,
+            deliver(&mut ledger, &mut book, id, 2.0),
             Delivery::Accepted {
                 cost: 3.0,
                 latency: t(2.0)
             }
         );
-        assert_eq!(ledger.reserved(), 0.0);
-        assert_eq!(budget.spent(), 3.0);
+        assert_eq!(book.reserved(0), 0.0);
+        assert_eq!(book.spent(0), 3.0);
         // A duplicate delivery is rejected and charges nothing.
-        assert_eq!(
-            ledger.deliver(id, t(3.0), &mut budget).unwrap(),
-            Delivery::Rejected
-        );
-        assert_eq!(budget.spent(), 3.0);
-        // The stale timeout is a no-op.
-        assert_eq!(ledger.expire(id).unwrap(), Expiry::AlreadySettled);
-        assert_eq!(budget.spent(), 3.0);
+        assert_eq!(deliver(&mut ledger, &mut book, id, 3.0), Delivery::Rejected);
+        assert_eq!(book.spent(0), 3.0);
+        // The stale timeout is a no-op, and the delivered pair stays locked.
+        assert_eq!(ledger.settle_expire(id).unwrap(), Expiry::AlreadySettled);
+        assert!(ledger.pair_claimed(ObjectId(0), AnnotatorId(0)));
+        assert_eq!(ledger.in_flight(), 0);
     }
 
     #[test]
     fn expiry_releases_reservation_and_frees_the_pair() {
         let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(4.0).unwrap();
-        let id = ledger
-            .dispatch(ObjectId(1), AnnotatorId(2), 4.0, t(0.0), t(5.0), &budget)
-            .unwrap();
+        let mut book = one_account(4.0);
+        let id = dispatch(&mut ledger, &mut book, 1, 2, 4.0, 0.0).unwrap();
         // Fully reserved: a second dispatch must not fit.
-        assert!(ledger
-            .dispatch(ObjectId(2), AnnotatorId(0), 1.0, t(0.0), t(5.0), &budget)
-            .is_err());
-        assert_eq!(ledger.expire(id).unwrap(), Expiry::TimedOut { cost: 4.0 });
-        assert_eq!(ledger.reserved(), 0.0);
+        assert!(dispatch(&mut ledger, &mut book, 2, 0, 1.0, 0.0).is_err());
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(
+            ledger.settle_expire(id).unwrap(),
+            Expiry::TimedOut { cost: 4.0 }
+        );
+        book.release(0, 4.0).unwrap();
+        assert_eq!(book.reserved(0), 0.0);
         assert!(!ledger.pair_claimed(ObjectId(1), AnnotatorId(2)));
         // The same pair can be re-asked under a new id...
-        let id2 = ledger
-            .dispatch(ObjectId(1), AnnotatorId(2), 4.0, t(6.0), t(11.0), &budget)
-            .unwrap();
+        let id2 = dispatch(&mut ledger, &mut book, 1, 2, 4.0, 6.0).unwrap();
         assert_ne!(id, id2);
         // ...and the late answer for the dead assignment is rejected.
-        assert_eq!(
-            ledger.deliver(id, t(7.0), &mut budget).unwrap(),
-            Delivery::Rejected
-        );
-        assert_eq!(budget.spent(), 0.0);
+        assert_eq!(deliver(&mut ledger, &mut book, id, 7.0), Delivery::Rejected);
+        assert_eq!(book.spent(0), 0.0);
     }
 
     #[test]
     fn live_pairs_cannot_be_double_dispatched() {
         let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(100.0).unwrap();
-        let id = ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(0.0), t(5.0), &budget)
-            .unwrap();
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(0.0), t(5.0), &budget)
-            .is_err());
-        ledger.deliver(id, t(1.0), &mut budget).unwrap();
+        let claim = |ledger: &mut AssignmentLedger, annotator| {
+            ledger.dispatch_reserved(ObjectId(0), AnnotatorId(annotator), 1.0, t(0.0), t(5.0))
+        };
+        let id = claim(&mut ledger, 0).unwrap();
+        assert!(claim(&mut ledger, 0).is_err());
+        ledger.settle_deliver(id, t(1.0)).unwrap();
         // Delivered pairs stay locked forever — one charge per pair.
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(2.0), t(7.0), &budget)
-            .is_err());
+        assert!(claim(&mut ledger, 0).is_err());
         // A different annotator on the same object is fine.
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(1), 1.0, t(2.0), t(7.0), &budget)
-            .is_ok());
+        assert!(claim(&mut ledger, 1).is_ok());
+        // And the restored ledger re-derives exactly those claims.
+        let restored = AssignmentLedger::restore(ledger.records().to_vec()).unwrap();
+        assert!(restored.pair_claimed(ObjectId(0), AnnotatorId(0)));
+        assert!(restored.pair_claimed(ObjectId(0), AnnotatorId(1)));
+        assert_eq!(restored.objects_in_flight().len(), 1);
     }
 
     #[test]
     fn rejects_malformed_dispatches() {
         let mut ledger = AssignmentLedger::new();
-        let budget = Budget::new(10.0).unwrap();
-        assert!(ledger
-            .dispatch(
-                ObjectId(0),
-                AnnotatorId(0),
-                f64::NAN,
-                t(0.0),
-                t(1.0),
-                &budget
-            )
-            .is_err());
-        assert!(ledger
-            .dispatch(ObjectId(0), AnnotatorId(0), 1.0, t(2.0), t(1.0), &budget)
-            .is_err());
+        let open = |ledger: &mut AssignmentLedger, cost, deadline| {
+            ledger.dispatch_reserved(ObjectId(0), AnnotatorId(0), cost, t(2.0), t(deadline))
+        };
+        assert!(open(&mut ledger, f64::NAN, 3.0).is_err());
+        assert!(open(&mut ledger, -1.0, 3.0).is_err());
+        assert!(open(&mut ledger, 1.0, 1.0).is_err());
         assert!(ledger.is_empty());
-        assert_eq!(ledger.reserved(), 0.0);
-    }
-
-    #[test]
-    fn settlement_without_budget_matches_the_classic_path() {
-        let mut ledger = AssignmentLedger::new();
-        let id = ledger
-            .dispatch_reserved(ObjectId(0), AnnotatorId(0), 2.0, t(0.0), t(5.0))
-            .unwrap();
-        assert_eq!(ledger.reserved(), 2.0);
-        let d = ledger.settle_deliver(id, t(1.5)).unwrap();
-        assert_eq!(
-            d,
-            Delivery::Accepted {
-                cost: 2.0,
-                latency: t(1.5)
-            }
-        );
-        assert_eq!(ledger.reserved(), 0.0);
-        // Exactly-once: the second settlement is rejected.
-        assert_eq!(
-            ledger.settle_deliver(id, t(2.0)).unwrap(),
-            Delivery::Rejected
-        );
-        assert_eq!(ledger.settle_expire(id).unwrap(), Expiry::AlreadySettled);
-        // And the delivered pair stays locked.
-        assert!(ledger.pair_claimed(ObjectId(0), AnnotatorId(0)));
+        assert!(ledger.settle_deliver(AssignmentId(0), t(3.0)).is_err());
+        assert!(ledger.settle_expire(AssignmentId(0)).is_err());
     }
 
     #[test]

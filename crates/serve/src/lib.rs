@@ -12,15 +12,20 @@
 //!   driven by per-annotator latency/availability models from
 //!   `crowdrl-sim`;
 //! * an **in-flight assignment ledger** ([`ledger`]) with configurable
-//!   timeouts, requeue-on-expiry, duplicate-answer rejection, and
-//!   reservation-based exactly-once budget charging;
+//!   timeouts, requeue-on-expiry and duplicate-answer rejection, settled
+//!   against reservation-based [`AccountBook`] budget accounts that
+//!   charge exactly once;
+//! * the **shard** ([`shard`]): one event queue plus one ledger slice,
+//!   and [`RunBook::apply`](shard::RunBook::apply), the one function
+//!   that books a settlement. The single-run pump ([`runtime`]) runs
+//!   one shard; the multi-tenant `crowdrl-service` runs several per
+//!   project, on the same code;
 //! * **incremental answer ingestion** that refreshes truth inference on
 //!   watermarks — every *k* delivered answers or *t* simulated time
 //!   units ([`config`], [`runtime`]);
-//! * two execution modes ([`ExecMode`]): single-threaded, and a
-//!   crossbeam **worker pool** (response sampling) plus a dedicated
-//!   **agent thread** (inference + DQN) that overlap training with event
-//!   pumping — both produce identical traces by construction;
+//! * two execution modes ([`ExecMode`]) that only cap the shared thread
+//!   pool around one implementation — both produce identical traces by
+//!   construction;
 //! * a [`ServiceMetrics`] report: answer throughput, latency
 //!   p50/p95/p99, timeout/requeue counts, budget burn rate.
 //!
@@ -64,9 +69,10 @@ pub mod ledger;
 pub mod metrics;
 pub mod runtime;
 pub mod sampler;
+pub mod shard;
 pub mod supervisor;
 
-pub use checkpoint::{PumpCheckpoint, RunCheckpoint};
+pub use checkpoint::{PumpCheckpoint, RunCheckpoint, ShardState};
 pub use clock::EventQueue;
 pub use config::{ExecMode, ServeConfig};
 pub use error::ServeError;
@@ -77,6 +83,7 @@ pub use ledger::{
 };
 pub use metrics::{MetricsCollector, ServiceMetrics};
 pub use runtime::{AsyncOutcome, AsyncRuntime, CheckpointSink, RunControl, RunOutcome};
+pub use shard::{RunBook, Shard, ShardBatch, ShardEvent};
 pub use supervisor::{
     DegradedMode, Quarantine, QuarantineConfig, QuarantineEvent, QuarantineStatus, SupervisorConfig,
 };

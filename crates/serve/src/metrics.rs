@@ -33,8 +33,9 @@ fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
 }
 
 /// Accumulates raw observations during the run; [`MetricsCollector::finish`]
-/// turns them into a [`ServiceMetrics`] report.
-#[derive(Debug, Default)]
+/// turns them into a [`ServiceMetrics`] report. Checkpoints store it
+/// as is (the `record_codec!` table in [`checkpoint`](crate::checkpoint)).
+#[derive(Debug, Default, Clone)]
 pub struct MetricsCollector {
     /// Delivered-answer latencies, simulated time units, arrival order.
     pub latencies: Vec<f64>,
@@ -50,7 +51,7 @@ pub struct MetricsCollector {
     pub requeues: usize,
     /// Truth-inference refreshes run.
     pub refreshes: usize,
-    /// Events processed by the pump.
+    /// Events popped off the event queue, no-op pops included.
     pub events: usize,
 }
 

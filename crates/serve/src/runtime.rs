@@ -1,53 +1,47 @@
-//! The event pump and the two execution modes.
+//! The single-run event pump.
 //!
-//! The pump owns the *service* state — event queue, ledger, budget,
-//! answer set, metrics — and is deliberately dumb: it moves events,
-//! enforces timeouts and exactly-once charging, and asks a [`Driver`] for
-//! everything intelligent (decisions) or random (annotator behaviour).
+//! The pump is the service's settlement machinery cut down to one run:
+//! one [`Shard`] (event queue and ledger), one [`AccountBook`] account
+//! and one [`RunBook`] — the parts the multi-tenant service keeps per
+//! project — settled one event at a time. It moves events, enforces
+//! timeouts and exactly-once charging, and calls the [`AgentCore`] for
+//! every decision and [`sample_outcome`] for annotator behaviour. Every
+//! settlement is booked by [`RunBook::apply`], the function the
+//! service's merge books with too.
 //!
-//! Both drivers expose the same five calls, and everything that feeds
-//! them is deterministic, so the two modes replay each other's traces:
+//! The pump keeps its own loop for two things. It checks the refresh
+//! watermarks after *every* event, where the service settles everything
+//! up to a round horizon before it refreshes; the two orders differ when
+//! events share an instant, which is common (every assignment one
+//! refresh dispatches gets the same deadline). And it applies the
+//! supervisor's retry backoff.
 //!
-//! * [`InlineDriver`] runs the [`AgentCore`] and the outcome sampler on
-//!   the calling thread — the reference semantics.
-//! * [`ThreadedDriver`] moves the core to a dedicated agent thread and
-//!   fans sampling jobs over a crossbeam worker pool. Sampled outcomes
-//!   are a pure function of the assignment id ([`sampler`](crate::sampler)),
-//!   so the pool's scheduling cannot change them, and the agent thread
-//!   receives the exact call sequence the inline driver would. DQN
-//!   training is the one call with no reply — the pump keeps processing
-//!   events while the agent trains. A snapshot request queues *behind*
-//!   the training message, so both modes checkpoint the identical
-//!   post-train state.
+//! [`ExecMode`](crate::ExecMode) caps the shared thread pool for the run
+//! ([`ExecMode::capped`](crate::ExecMode::capped)); the pump is one
+//! implementation, so both modes replay each other's traces.
 //!
 //! Three chaos-layer concerns thread through the pump, all default-off:
-//! fault injection ([`FaultInjector`]) rewrites sampled outcomes between
-//! the sampler and the event queue; the supervisor's retry backoff
+//! fault injection ([`FaultInjector`]) rewrites sampled outcomes before
+//! they are scheduled; the supervisor's retry backoff
 //! ([`SupervisorConfig`](crate::supervisor::SupervisorConfig)) keeps
 //! timed-out objects out of the candidate set for a while; and the
 //! checkpoint hook snapshots the whole run at refresh boundaries so a
 //! killed run can [`resume`](AsyncRuntime::resume) bit-identically.
 
 use crate::checkpoint::{PumpCheckpoint, RunCheckpoint};
-use crate::clock::EventQueue;
-use crate::config::{ExecMode, ServeConfig};
-use crate::core_loop::{
-    AgentCore, BudgetView, CoreState, FinalizeRequest, RefreshReply, RefreshRequest,
-};
+use crate::config::ServeConfig;
+use crate::core_loop::AgentCore;
 use crate::error::ServeError;
-use crate::event::{EventKind, TraceEvent};
-use crate::ledger::{AssignmentLedger, Delivery, Expiry};
-use crate::metrics::{MetricsCollector, ServiceMetrics};
-use crate::sampler::{sample_outcome, SampleJob, SampledOutcome};
+use crate::event::TraceEvent;
+use crate::ledger::AccountBook;
+use crate::metrics::ServiceMetrics;
+use crate::sampler::{sample_outcome, SampleJob};
+use crate::shard::{RunBook, Shard, ShardEvent};
 use crowdrl_core::{CrowdRlConfig, LabellingOutcome};
 use crowdrl_obs as obs;
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool, FaultInjector, FaultRecord};
-use crowdrl_types::{
-    AnnotatorId, Answer, AnswerSet, Budget, ClassId, Dataset, Error, ObjectId, Result, SimTime,
-};
+use crowdrl_types::{AnnotatorId, AssignmentId, Dataset, Error, ObjectId, Result, SimTime};
 use rand::Rng;
-use std::collections::HashSet;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Everything a run produces.
@@ -83,138 +77,6 @@ pub enum RunOutcome {
 /// Receives each checkpoint and decides whether the run continues.
 pub type CheckpointSink<'s> = &'s mut dyn FnMut(RunCheckpoint) -> RunControl;
 
-/// The pump's interface to the agent and the virtual crowd.
-trait Driver {
-    /// Run one refresh and return the next panels.
-    fn refresh(&mut self, req: RefreshRequest) -> Result<RefreshReply>;
-    /// Train the DQN for one refresh (may overlap event pumping).
-    fn train(&mut self) -> Result<()>;
-    /// Sample annotator outcomes for freshly dispatched assignments.
-    /// Returns them sorted by assignment id.
-    fn sample(&mut self, jobs: Vec<SampleJob>) -> Result<Vec<SampledOutcome>>;
-    /// Snapshot the agent core's full learning state.
-    fn snapshot(&mut self) -> Result<CoreState>;
-    /// Close the run and build the outcome.
-    fn finalize(&mut self, req: FinalizeRequest) -> Result<LabellingOutcome>;
-}
-
-/// Single-threaded driver: core and sampler inline.
-struct InlineDriver<'a> {
-    core: AgentCore<'a>,
-    pool: &'a AnnotatorPool,
-    dynamics: &'a [AnnotatorDynamics],
-    sampling_seed: u64,
-}
-
-impl Driver for InlineDriver<'_> {
-    fn refresh(&mut self, req: RefreshRequest) -> Result<RefreshReply> {
-        self.core.refresh(&req)
-    }
-
-    fn train(&mut self) -> Result<()> {
-        self.core.train();
-        Ok(())
-    }
-
-    fn sample(&mut self, jobs: Vec<SampleJob>) -> Result<Vec<SampledOutcome>> {
-        Ok(jobs
-            .into_iter()
-            .map(|job| sample_outcome(self.sampling_seed, job, self.pool, self.dynamics))
-            .collect())
-    }
-
-    fn snapshot(&mut self) -> Result<CoreState> {
-        Ok(self.core.export_state())
-    }
-
-    fn finalize(&mut self, req: FinalizeRequest) -> Result<LabellingOutcome> {
-        self.core.finalize(&req)
-    }
-}
-
-/// Messages to the agent thread. Processed strictly in order, which is
-/// what makes the threaded call sequence identical to the inline one —
-/// in particular a Snapshot sent after Train captures post-train state,
-/// exactly like the inline driver.
-enum ToAgent {
-    Refresh(RefreshRequest),
-    Train,
-    Snapshot,
-    Finalize(FinalizeRequest),
-}
-
-/// Replies from the agent thread.
-enum FromAgent {
-    Decision(Result<RefreshReply>),
-    Snapshot(Box<CoreState>),
-    Outcome(Box<Result<LabellingOutcome>>),
-}
-
-/// Worker-pool driver: agent thread + sampler pool over channels.
-struct ThreadedDriver {
-    to_agent: crossbeam::channel::Sender<ToAgent>,
-    from_agent: crossbeam::channel::Receiver<FromAgent>,
-    job_tx: crossbeam::channel::Sender<SampleJob>,
-    out_rx: crossbeam::channel::Receiver<SampledOutcome>,
-}
-
-fn dead_agent() -> Error {
-    ServeError::AgentGone.into()
-}
-
-impl Driver for ThreadedDriver {
-    fn refresh(&mut self, req: RefreshRequest) -> Result<RefreshReply> {
-        self.to_agent
-            .send(ToAgent::Refresh(req))
-            .map_err(|_| dead_agent())?;
-        match self.from_agent.recv().map_err(|_| dead_agent())? {
-            FromAgent::Decision(reply) => reply,
-            _ => Err(dead_agent()),
-        }
-    }
-
-    fn train(&mut self) -> Result<()> {
-        // Fire and forget: the agent trains while the pump keeps moving
-        // events; the next Refresh message queues behind the training.
-        self.to_agent.send(ToAgent::Train).map_err(|_| dead_agent())
-    }
-
-    fn sample(&mut self, jobs: Vec<SampleJob>) -> Result<Vec<SampledOutcome>> {
-        let expected = jobs.len();
-        for job in jobs {
-            self.job_tx.send(job).map_err(|_| dead_agent())?;
-        }
-        let mut out = Vec::with_capacity(expected);
-        for _ in 0..expected {
-            out.push(self.out_rx.recv().map_err(|_| dead_agent())?);
-        }
-        // Outcomes are pure functions of the job, so sorting by id
-        // erases the pool's scheduling from the result.
-        out.sort_by_key(|o| o.id);
-        Ok(out)
-    }
-
-    fn snapshot(&mut self) -> Result<CoreState> {
-        self.to_agent
-            .send(ToAgent::Snapshot)
-            .map_err(|_| dead_agent())?;
-        match self.from_agent.recv().map_err(|_| dead_agent())? {
-            FromAgent::Snapshot(state) => Ok(*state),
-            _ => Err(dead_agent()),
-        }
-    }
-
-    fn finalize(&mut self, req: FinalizeRequest) -> Result<LabellingOutcome> {
-        self.to_agent
-            .send(ToAgent::Finalize(req))
-            .map_err(|_| dead_agent())?;
-        match self.from_agent.recv().map_err(|_| dead_agent())? {
-            FromAgent::Outcome(outcome) => *outcome,
-            _ => Err(dead_agent()),
-        }
-    }
-}
-
 /// Build the fault injector a config calls for (None when the plan is a
 /// no-op, so the fault-free fast path stays branch-cheap).
 fn build_injector(serve: &ServeConfig, dataset: &Dataset) -> Result<Option<FaultInjector>> {
@@ -230,55 +92,44 @@ fn build_injector(serve: &ServeConfig, dataset: &Dataset) -> Result<Option<Fault
 
 /// Bump the `fault.injected.*` trace counters for one injected outcome.
 fn count_faults(faults: &FaultRecord) {
-    if faults.is_clean() {
-        return;
-    }
-    if faults.no_show {
-        obs::counter_add("fault.injected.no_show", 1);
-    }
-    if faults.abandoned {
-        obs::counter_add("fault.injected.abandon", 1);
-    }
-    if faults.straggler {
-        obs::counter_add("fault.injected.straggler", 1);
-    }
-    if faults.outage {
-        obs::counter_add("fault.injected.outage", 1);
-    }
-    if faults.duplicate {
-        obs::counter_add("fault.injected.duplicate", 1);
-    }
-    if faults.drifted {
-        obs::counter_add("fault.injected.drift", 1);
+    let hits = [
+        (faults.no_show, "fault.injected.no_show"),
+        (faults.abandoned, "fault.injected.abandon"),
+        (faults.straggler, "fault.injected.straggler"),
+        (faults.outage, "fault.injected.outage"),
+        (faults.duplicate, "fault.injected.duplicate"),
+        (faults.drifted, "fault.injected.drift"),
+    ];
+    for (hit, name) in hits {
+        if hit {
+            obs::counter_add(name, 1);
+        }
     }
 }
 
-/// The service state the pump owns while a run is in progress.
+/// The pump's one budget account.
+const ACCOUNT: usize = 0;
+
+/// A run in progress: the agent core plus the settlement state around it.
 struct Pump<'a> {
     dataset: &'a Dataset,
     pool: &'a AnnotatorPool,
     serve: &'a ServeConfig,
+    dynamics: &'a [AnnotatorDynamics],
     /// Config fingerprint stamped into every checkpoint.
     fingerprint: u64,
+    core: AgentCore<'a>,
     injector: Option<FaultInjector>,
-    queue: EventQueue,
-    ledger: AssignmentLedger,
-    budget: Budget,
-    /// Shared with the core during each refresh (cheap `Arc` clone); the
-    /// pump mutates through `Arc::make_mut`, which stays in-place once
-    /// the core has dropped its copy.
-    answers: Arc<AnswerSet>,
-    collector: MetricsCollector,
+    /// Event queue and ledger. Its shard-local ids are the trace ids
+    /// and the sampling-stream indices.
+    shard: Shard,
+    /// One account: the run's budget and its reservations.
+    accounts: AccountBook,
+    book: RunBook,
     trace: Vec<TraceEvent>,
-    /// Sampled label per assignment id (None = the annotator dropped it).
-    labels_by_id: Vec<Option<ClassId>>,
-    requeue_count: Vec<usize>,
-    abandoned: HashSet<ObjectId>,
     /// Per-object supervisor backoff deadline (absolute sim time); an
     /// object is withheld from refreshes until its deadline passes.
     backoff_until: Vec<f64>,
-    answers_since: usize,
-    last_refresh: SimTime,
     /// Refreshes since the last checkpoint was cut.
     refreshes_since_ckpt: usize,
     done: bool,
@@ -289,217 +140,141 @@ impl<'a> Pump<'a> {
         dataset: &'a Dataset,
         pool: &'a AnnotatorPool,
         serve: &'a ServeConfig,
-        budget: f64,
+        dynamics: &'a [AnnotatorDynamics],
         fingerprint: u64,
+        core: AgentCore<'a>,
+        budget: f64,
     ) -> Result<Self> {
+        let mut accounts = AccountBook::new();
+        accounts.open(budget)?;
         Ok(Self {
             dataset,
             pool,
             serve,
+            dynamics,
             fingerprint,
+            core,
             injector: build_injector(serve, dataset)?,
-            queue: EventQueue::new(),
-            ledger: AssignmentLedger::new(),
-            budget: Budget::new(budget)?,
-            answers: Arc::new(AnswerSet::new(dataset.len())),
-            collector: MetricsCollector::new(),
+            shard: Shard::new(SimTime::ZERO),
+            accounts,
+            book: RunBook::new(dataset.len()),
             trace: Vec::new(),
-            labels_by_id: Vec::new(),
-            requeue_count: vec![0; dataset.len()],
-            abandoned: HashSet::new(),
             backoff_until: vec![0.0; dataset.len()],
-            answers_since: 0,
-            last_refresh: SimTime::ZERO,
             refreshes_since_ckpt: 0,
             done: false,
         })
     }
 
-    /// Rebuild a pump mid-run from a checkpoint. Everything derivable
-    /// (ledger reservations, pair claims) is re-derived and validated;
-    /// everything order-dependent (budget float sum, event sequence
-    /// numbers) is restored bit-exactly.
-    fn restore(
-        dataset: &'a Dataset,
-        pool: &'a AnnotatorPool,
-        serve: &'a ServeConfig,
-        fingerprint: u64,
-        state: PumpCheckpoint,
-    ) -> Result<Self> {
-        if state.requeue_count.len() != dataset.len()
-            || state.backoff_until.len() != dataset.len()
-            || state.answers.num_objects() != dataset.len()
-        {
+    /// Overwrite this fresh pump's settlement state with a checkpoint's.
+    /// The pair claims are re-derived from the ledger and every table is
+    /// checked against the dataset; everything order-dependent (the
+    /// account's float sums, event sequence numbers) is restored
+    /// bit-exactly.
+    fn restore(&mut self, state: PumpCheckpoint) -> Result<()> {
+        let objects = self.dataset.len();
+        if state.backoff_until.len() != objects {
             return Err(ServeError::CorruptCheckpoint(format!(
-                "pump state sized for {} objects, dataset has {}",
-                state.requeue_count.len(),
-                dataset.len()
+                "backoff table sized for {} objects, dataset has {objects}",
+                state.backoff_until.len(),
             ))
             .into());
         }
-        if state.labels_by_id.len() != state.records.len() {
-            return Err(ServeError::CorruptCheckpoint(format!(
-                "{} sampled labels for {} ledger records",
-                state.labels_by_id.len(),
-                state.records.len()
-            ))
-            .into());
-        }
-        let collector = MetricsCollector {
-            latencies: state.latencies,
-            dispatched: state.dispatched,
-            delivered: state.delivered,
-            rejected: state.rejected,
-            timeouts: state.timeouts,
-            requeues: state.requeues,
-            refreshes: state.refreshes,
-            events: state.events_processed,
-        };
-        Ok(Self {
-            dataset,
-            pool,
-            serve,
-            fingerprint,
-            injector: build_injector(serve, dataset)?,
-            queue: EventQueue::restore(state.now, state.next_seq, state.events)?,
-            ledger: AssignmentLedger::restore(state.records)?,
-            budget: Budget::restore(state.budget_total, state.budget_spent, state.budget_charges)?,
-            answers: Arc::new(state.answers),
-            collector,
-            trace: state.trace,
-            labels_by_id: state.labels_by_id,
-            requeue_count: state.requeue_count,
-            abandoned: state.abandoned.into_iter().collect(),
-            backoff_until: state.backoff_until,
-            answers_since: state.answers_since,
-            last_refresh: state.last_refresh,
-            refreshes_since_ckpt: 0,
-            done: false,
-        })
+        self.book = RunBook::restore(
+            objects,
+            state.answers,
+            state.answers_since,
+            state.last_refresh,
+            state.requeues,
+            state.abandoned,
+            state.collector,
+        )
+        .map_err(ServeError::CorruptCheckpoint)?;
+        self.shard = Shard::restore(state.shard)?;
+        self.accounts = AccountBook::restore(&[state.account])?;
+        self.trace = state.trace;
+        self.backoff_until = state.backoff_until;
+        Ok(())
     }
 
     /// Snapshot the pump's complete service state.
     fn export_state(&self) -> PumpCheckpoint {
-        let (now, next_seq, events) = self.queue.snapshot();
-        let mut abandoned: Vec<ObjectId> = self.abandoned.iter().copied().collect();
-        abandoned.sort();
         PumpCheckpoint {
-            now,
-            next_seq,
-            events,
-            records: self.ledger.records().to_vec(),
-            budget_total: self.budget.total(),
-            budget_spent: self.budget.spent(),
-            budget_charges: self.budget.charge_count(),
-            answers: (*self.answers).clone(),
-            latencies: self.collector.latencies.clone(),
-            dispatched: self.collector.dispatched,
-            delivered: self.collector.delivered,
-            rejected: self.collector.rejected,
-            timeouts: self.collector.timeouts,
-            requeues: self.collector.requeues,
-            refreshes: self.collector.refreshes,
-            events_processed: self.collector.events,
+            shard: self.shard.export(),
+            account: self.accounts.export()[ACCOUNT],
+            answers: (*self.book.answers).clone(),
+            answers_since: self.book.answers_since,
+            requeues: self.book.requeues.clone(),
+            abandoned: self.book.abandoned_sorted(),
+            collector: self.book.collector.clone(),
             trace: self.trace.clone(),
-            labels_by_id: self.labels_by_id.clone(),
-            requeue_count: self.requeue_count.clone(),
-            abandoned,
             backoff_until: self.backoff_until.clone(),
-            answers_since: self.answers_since,
-            last_refresh: self.last_refresh,
+            last_refresh: self.book.last_refresh,
         }
     }
 
-    /// Dispatch panels: reserve, sample, and schedule Deliver/Expire
-    /// events. Returns how many assignments actually went out.
-    fn dispatch<D: Driver>(
-        &mut self,
-        driver: &mut D,
-        panels: &[(ObjectId, Vec<AnnotatorId>)],
-    ) -> Result<usize> {
-        let now = self.queue.now();
-        let timeout = SimTime::new(self.serve.timeout)?;
-        let mut jobs = Vec::new();
+    /// Dispatch panels: per admissible assignment, reserve its cost,
+    /// sample (and fault-inject) the crowd's response, and open it on
+    /// the shard, which schedules its delivery and timeout. Returns how
+    /// many assignments went out.
+    fn dispatch(&mut self, panels: &[(ObjectId, Vec<AnnotatorId>)]) -> Result<usize> {
+        let now = self.shard.now();
+        let deadline = now + SimTime::new(self.serve.timeout)?;
+        let mut dispatched = 0;
         for (object, annotators) in panels {
             for &annotator in annotators {
                 let cost = self.pool.profile(annotator).cost;
-                if self.ledger.pair_claimed(*object, annotator)
-                    || !self.ledger.can_reserve(cost, &self.budget)
+                if self.shard.pair_claimed(*object, annotator)
+                    || !self.accounts.can_reserve(ACCOUNT, cost)
                 {
                     continue;
                 }
-                let id = self.ledger.dispatch(
-                    *object,
-                    annotator,
-                    cost,
-                    now,
-                    now + timeout,
-                    &self.budget,
-                )?;
-                jobs.push(SampleJob {
+                self.accounts.reserve(ACCOUNT, cost)?;
+                let id = AssignmentId(self.shard.opened() as u64);
+                let job = SampleJob {
                     id,
                     object: *object,
                     annotator,
                     truth: self.dataset.truth(object.index()),
-                });
+                };
+                let sampled =
+                    sample_outcome(self.serve.sampling_seed, job, self.pool, self.dynamics);
+                let (response, duplicate_at) = match &self.injector {
+                    Some(injector) => {
+                        let injected =
+                            injector.apply(id, annotator, now, self.serve.timeout, sampled);
+                        count_faults(&injected.faults);
+                        (injected.response, injected.duplicate_at)
+                    }
+                    None => (sampled, None),
+                };
+                self.shard.open(
+                    *object,
+                    annotator,
+                    cost,
+                    id.0,
+                    now,
+                    deadline,
+                    response,
+                    duplicate_at,
+                )?;
                 self.trace.push(TraceEvent::Dispatched {
                     at: now,
                     id,
                     object: *object,
                     annotator,
                 });
+                dispatched += 1;
             }
         }
-        let dispatched = jobs.len();
-        self.collector.dispatched += dispatched;
-        let sample_span = obs::span("serve.sample");
-        let outcomes = driver.sample(jobs)?;
-        drop(sample_span);
-        for outcome in outcomes {
-            debug_assert_eq!(outcome.id.0 as usize, self.labels_by_id.len());
-            let (response, duplicate_at) = match &self.injector {
-                Some(injector) => {
-                    let annotator = self
-                        .ledger
-                        .record(outcome.id)
-                        .ok_or(ServeError::UnknownAssignment(outcome.id))?
-                        .annotator;
-                    let injected = injector.apply(
-                        outcome.id,
-                        annotator,
-                        now,
-                        self.serve.timeout,
-                        outcome.response,
-                    );
-                    count_faults(&injected.faults);
-                    (injected.response, injected.duplicate_at)
-                }
-                None => (outcome.response, None),
-            };
-            match response {
-                Some((label, latency)) => {
-                    self.labels_by_id.push(Some(label));
-                    self.queue
-                        .push(now + latency, EventKind::Deliver(outcome.id))?;
-                }
-                None => self.labels_by_id.push(None),
-            }
-            if let Some(at) = duplicate_at {
-                // The duplicate copy replays the same assignment id; the
-                // ledger's exactly-once rule rejects it on arrival.
-                self.queue.push(at, EventKind::Deliver(outcome.id))?;
-            }
-            self.queue
-                .push(now + timeout, EventKind::Expire(outcome.id))?;
-        }
+        self.book.collector.dispatched += dispatched;
         Ok(dispatched)
     }
 
-    /// Run a refresh and dispatch its panels.
-    fn refresh<D: Driver>(&mut self, driver: &mut D) -> Result<usize> {
-        let now = self.queue.now();
-        let mut blocked = self.ledger.objects_in_flight();
-        blocked.extend(self.abandoned.iter().copied());
+    /// Run a refresh, dispatch its panels, and train.
+    fn refresh(&mut self) -> Result<usize> {
+        let now = self.shard.now();
+        let mut blocked = self.shard.objects_in_flight();
+        blocked.extend(self.book.abandoned.iter().copied());
         if self.serve.supervisor.backoff_base > 0.0 {
             let now_f = now.as_f64();
             blocked.extend(
@@ -510,196 +285,114 @@ impl<'a> Pump<'a> {
                     .map(|(i, _)| ObjectId(i)),
             );
         }
-        let reply = driver.refresh(RefreshRequest {
-            answers: Arc::clone(&self.answers),
-            view: BudgetView {
-                total: self.budget.total(),
-                spent: self.budget.spent(),
-                reserved: self.ledger.reserved(),
-            },
+        // The request's answer-set clone drops with the statement, so the
+        // next settlement's `Arc::make_mut` stays in place. The
+        // single-run pump places no per-annotator concurrency caps —
+        // slot accounting is a shared-pool concern.
+        let reply = self.core.refresh(&self.book.refresh_request(
+            &self.accounts,
+            ACCOUNT,
             blocked,
-            // The single-run pump places no per-annotator concurrency
-            // caps — slot accounting is a shared-pool concern.
-            slots: None,
+            None,
             now,
-            answers_since: self.answers_since,
-        })?;
-        self.collector.refreshes += 1;
-        self.answers_since = 0;
-        self.last_refresh = now;
-        self.trace.push(TraceEvent::Refreshed {
-            at: now,
-            answers: self.answers.total_answers(),
-            labelled: reply.labelled,
-        });
-        for ev in &reply.quarantine {
-            self.trace.push(if ev.entered {
-                TraceEvent::Quarantined {
-                    at: now,
-                    annotator: ev.annotator,
-                }
-            } else {
-                TraceEvent::QuarantineReleased {
-                    at: now,
-                    annotator: ev.annotator,
-                }
-            });
-        }
-        let dispatched = self.dispatch(driver, &reply.panels)?;
-        driver.train()?;
+        ))?;
+        self.trace.extend(self.book.refreshed(now, &reply));
+        let dispatched = self.dispatch(&reply.panels)?;
+        self.core.train();
         if reply.done {
             self.done = true;
         }
         Ok(dispatched)
     }
 
-    /// Handle one event.
-    fn handle(&mut self, kind: EventKind) -> Result<()> {
-        let now = self.queue.now();
-        self.collector.events += 1;
-        match kind {
-            EventKind::Deliver(id) => match self.ledger.deliver(id, now, &mut self.budget)? {
-                Delivery::Accepted { latency, .. } => {
-                    let record = self
-                        .ledger
-                        .record(id)
-                        .ok_or(ServeError::UnknownAssignment(id))?;
-                    let label = self
-                        .labels_by_id
-                        .get(id.0 as usize)
-                        .copied()
-                        .flatten()
-                        .ok_or(ServeError::MissingLabel(id))?;
-                    Arc::make_mut(&mut self.answers).record(Answer {
-                        object: record.object,
-                        annotator: record.annotator,
-                        label,
-                    })?;
-                    self.collector.delivered += 1;
-                    self.collector.latencies.push(latency.as_f64());
-                    self.answers_since += 1;
-                    self.trace
-                        .push(TraceEvent::Delivered { at: now, id, label });
+    /// Book one settlement; a requeued timeout also starts the object's
+    /// supervisor backoff.
+    fn settle(&mut self, event: ShardEvent) -> Result<()> {
+        let traced =
+            self.book
+                .apply(event, &mut self.accounts, ACCOUNT, self.serve.max_requeues)?;
+        if let (ShardEvent::Expired { object, at, .. }, TraceEvent::Expired { requeued, .. }) =
+            (event, &traced)
+        {
+            if *requeued {
+                obs::counter_add("retry.count", 1);
+                let retries = self.book.requeues[object.index()];
+                let delay = self.serve.supervisor.backoff_delay(retries);
+                if delay > 0.0 {
+                    self.backoff_until[object.index()] = at.as_f64() + delay;
                 }
-                Delivery::Rejected => {
-                    self.collector.rejected += 1;
-                    self.trace.push(TraceEvent::Rejected { at: now, id });
-                }
-            },
-            EventKind::Expire(id) => match self.ledger.expire(id)? {
-                Expiry::TimedOut { .. } => {
-                    let record = self
-                        .ledger
-                        .record(id)
-                        .ok_or(ServeError::UnknownAssignment(id))?;
-                    let object = record.object;
-                    self.collector.timeouts += 1;
-                    let len = self.requeue_count.len();
-                    let count = self
-                        .requeue_count
-                        .get_mut(object.index())
-                        .ok_or(ServeError::ObjectOutOfRange { object, len })?;
-                    *count += 1;
-                    let retries = *count;
-                    let requeued = retries <= self.serve.max_requeues;
-                    if requeued {
-                        self.collector.requeues += 1;
-                        obs::counter_add("retry.count", 1);
-                        let delay = self.serve.supervisor.backoff_delay(retries);
-                        if delay > 0.0 {
-                            self.backoff_until[object.index()] = now.as_f64() + delay;
-                        }
-                    } else {
-                        self.abandoned.insert(object);
-                    }
-                    self.trace.push(TraceEvent::Expired {
-                        at: now,
-                        id,
-                        requeued,
-                    });
-                }
-                Expiry::AlreadySettled => {}
-            },
+            }
         }
+        self.trace.push(traced);
         Ok(())
-    }
-
-    /// Whether a watermark has tripped since the last refresh.
-    fn watermark_due(&self) -> bool {
-        self.answers_since >= self.serve.answer_watermark
-            || (self.answers_since > 0
-                && (self.queue.now() - self.last_refresh).as_f64() >= self.serve.time_watermark)
     }
 
     /// Cut a checkpoint if one is due. Returns true when the sink asked
     /// the run to halt.
-    fn maybe_checkpoint<D: Driver>(
-        &mut self,
-        driver: &mut D,
-        sink: CheckpointSink<'_>,
-    ) -> Result<bool> {
+    fn maybe_checkpoint(&mut self, sink: CheckpointSink<'_>) -> bool {
         if self.serve.checkpoint_every == 0 {
-            return Ok(false);
+            return false;
         }
         self.refreshes_since_ckpt += 1;
         if self.refreshes_since_ckpt < self.serve.checkpoint_every {
-            return Ok(false);
+            return false;
         }
         self.refreshes_since_ckpt = 0;
         let write_start = Instant::now();
-        let core = driver.snapshot()?;
         let checkpoint = RunCheckpoint {
             fingerprint: self.fingerprint,
             objects: self.dataset.len(),
             annotators: self.pool.len(),
             pump: self.export_state(),
-            core,
+            core: self.core.export_state(),
         };
         obs::counter_add("checkpoint.write", 1);
         obs::gauge(
             "checkpoint.write_ns",
             write_start.elapsed().as_nanos() as f64,
         );
-        Ok(sink(checkpoint) == RunControl::Halt)
+        sink(checkpoint) == RunControl::Halt
     }
 
-    /// The main loop: pump events, refresh on watermarks, and when the
-    /// queue drains force a refresh to flush leftovers — stopping once a
-    /// forced refresh dispatches nothing (or the agent reports done).
-    /// Checkpoints are cut only *after* a refresh that keeps the run
-    /// going, so every checkpoint resumes into the same loop position.
-    fn run<D: Driver>(mut self, driver: &mut D, sink: CheckpointSink<'_>) -> Result<RunOutcome> {
+    /// The main loop: settle events one at a time, refresh on
+    /// watermarks, and when the queue drains force a refresh to flush
+    /// leftovers — stopping once a forced refresh dispatches nothing (or
+    /// the agent reports done). Checkpoints are cut only *after* a
+    /// refresh that keeps the run going, so every checkpoint resumes
+    /// into the same loop position.
+    fn run(mut self, sink: CheckpointSink<'_>) -> Result<RunOutcome> {
         let wall_start = Instant::now();
         'outer: loop {
-            while let Some(event) = self.queue.pop() {
-                self.handle(event.kind)?;
-                if self.watermark_due() {
-                    self.refresh(driver)?;
+            while !self.shard.is_idle() {
+                self.book.collector.events += 1;
+                if let Some(event) = self.shard.step()? {
+                    self.settle(event)?;
+                }
+                let (answers, time) = (self.serve.answer_watermark, self.serve.time_watermark);
+                if self.book.watermark_due(self.shard.now(), answers, time) {
+                    self.refresh()?;
                     if self.done {
                         break 'outer;
                     }
-                    if self.maybe_checkpoint(driver, sink)? {
+                    if self.maybe_checkpoint(sink) {
                         return Ok(RunOutcome::Halted);
                     }
                 }
             }
-            let dispatched = self.refresh(driver)?;
+            let dispatched = self.refresh()?;
             if self.done || dispatched == 0 {
                 break;
             }
-            if self.maybe_checkpoint(driver, sink)? {
+            if self.maybe_checkpoint(sink) {
                 return Ok(RunOutcome::Halted);
             }
         }
-        let outcome = driver.finalize(FinalizeRequest {
-            answers: Arc::clone(&self.answers),
-            budget_spent: self.budget.spent(),
-        })?;
-        let metrics = self.collector.finish(
-            self.queue.now(),
-            wall_start.elapsed().as_secs_f64(),
-            self.budget.spent(),
-        );
+        let spent = self.accounts.spent(ACCOUNT);
+        let outcome = self.core.finalize(&self.book.answers, spent)?;
+        let metrics =
+            self.book
+                .collector
+                .finish(self.shard.now(), wall_start.elapsed().as_secs_f64(), spent);
         Ok(RunOutcome::Completed(Box::new(AsyncOutcome {
             outcome,
             metrics,
@@ -774,8 +467,8 @@ impl AsyncRuntime {
         self.launch(dataset, pool, rng, Some(checkpoint), sink)
     }
 
-    /// Shared entry point: validate, build or restore the (core, pump)
-    /// pair, and drive it through the configured execution mode.
+    /// Shared entry point: validate, build or restore the pump, and run
+    /// it under the configured thread cap.
     fn launch<R: Rng + ?Sized>(
         &self,
         dataset: &Dataset,
@@ -802,139 +495,76 @@ impl AsyncRuntime {
         let dynamics = self.serve.dynamics.generate(pool, rng)?;
         let core_seed: u64 = rng.random();
         let fingerprint = self.config.fingerprint();
-
-        let (core, pump, initial) = match checkpoint {
-            None => {
-                let mut core = AgentCore::new(
-                    self.config.clone(),
-                    dataset,
-                    pool,
-                    core_seed,
-                    self.serve.quarantine.clone(),
-                )?;
-                let initial = core.initial_panels();
-                let pump = Pump::new(dataset, pool, &self.serve, self.config.budget, fingerprint)?;
-                (core, pump, Some(initial))
-            }
-            Some(ckpt) => {
-                if ckpt.fingerprint != fingerprint {
-                    return Err(ServeError::ConfigMismatch {
-                        expected: fingerprint,
-                        actual: ckpt.fingerprint,
-                    }
-                    .into());
-                }
-                if ckpt.objects != dataset.len() || ckpt.annotators != pool.len() {
-                    return Err(ServeError::CorruptCheckpoint(format!(
-                        "checkpoint is for {} objects / {} annotators, run has {} / {}",
-                        ckpt.objects,
-                        ckpt.annotators,
-                        dataset.len(),
-                        pool.len()
-                    ))
-                    .into());
-                }
-                let restore_start = Instant::now();
-                let core = AgentCore::restore(
-                    self.config.clone(),
-                    dataset,
-                    pool,
-                    self.serve.quarantine.clone(),
-                    ckpt.core,
-                )?;
-                let pump = Pump::restore(dataset, pool, &self.serve, fingerprint, ckpt.pump)?;
-                obs::counter_add("checkpoint.restore", 1);
-                obs::gauge(
-                    "checkpoint.restore_ns",
-                    restore_start.elapsed().as_nanos() as f64,
-                );
-                // A restored run re-enters the pump loop directly: the
-                // initial panels were dispatched before the checkpoint.
-                (core, pump, None)
-            }
-        };
-
-        let result = match self.serve.mode {
-            ExecMode::SingleThread => {
-                let mut driver = InlineDriver {
-                    core,
-                    pool,
-                    dynamics: &dynamics,
-                    sampling_seed: self.serve.sampling_seed,
-                };
-                run_pump(pump, &mut driver, initial.as_deref(), sink)
-            }
-            ExecMode::WorkerPool { workers } => {
-                let workers = if workers == 0 {
-                    std::thread::available_parallelism()
-                        .map(|n| n.get())
-                        .unwrap_or(2)
-                } else {
-                    workers
-                };
-                let sampling_seed = self.serve.sampling_seed;
-                let dynamics = &dynamics;
-                let mut core = core;
-                crossbeam::scope(|scope| {
-                    let (to_agent, agent_rx) = crossbeam::channel::unbounded::<ToAgent>();
-                    let (agent_tx, from_agent) = crossbeam::channel::unbounded::<FromAgent>();
-                    scope.spawn(move |_| {
-                        for msg in agent_rx.iter() {
-                            match msg {
-                                ToAgent::Refresh(req) => {
-                                    let reply = core.refresh(&req);
-                                    // Release the shared answer set *before*
-                                    // replying so the pump deterministically
-                                    // regains sole ownership (its next
-                                    // `Arc::make_mut` stays in place).
-                                    drop(req);
-                                    if agent_tx.send(FromAgent::Decision(reply)).is_err() {
-                                        break;
-                                    }
-                                }
-                                ToAgent::Train => core.train(),
-                                ToAgent::Snapshot => {
-                                    let state = core.export_state();
-                                    if agent_tx.send(FromAgent::Snapshot(Box::new(state))).is_err()
-                                    {
-                                        break;
-                                    }
-                                }
-                                ToAgent::Finalize(req) => {
-                                    let outcome = core.finalize(&req);
-                                    let _ = agent_tx.send(FromAgent::Outcome(Box::new(outcome)));
-                                    break;
-                                }
-                            }
+        let serve = &self.serve;
+        let result = serve.mode.capped(|| -> Result<RunOutcome> {
+            let restore_start = Instant::now();
+            let (core, resume) = match checkpoint {
+                None => (
+                    AgentCore::new(
+                        self.config.clone(),
+                        dataset,
+                        pool,
+                        core_seed,
+                        serve.quarantine.clone(),
+                    )?,
+                    None,
+                ),
+                Some(ckpt) => {
+                    if ckpt.fingerprint != fingerprint {
+                        return Err(ServeError::ConfigMismatch {
+                            expected: fingerprint,
+                            actual: ckpt.fingerprint,
                         }
-                    });
-                    let (job_tx, job_rx) = crossbeam::channel::unbounded::<SampleJob>();
-                    let (out_tx, out_rx) = crossbeam::channel::unbounded::<SampledOutcome>();
-                    for _ in 0..workers {
-                        let job_rx = job_rx.clone();
-                        let out_tx = out_tx.clone();
-                        scope.spawn(move |_| {
-                            while let Ok(job) = job_rx.recv() {
-                                let outcome = sample_outcome(sampling_seed, job, pool, dynamics);
-                                if out_tx.send(outcome).is_err() {
-                                    break;
-                                }
-                            }
-                        });
+                        .into());
                     }
-                    drop(job_rx);
-                    drop(out_tx);
-                    let mut driver = ThreadedDriver {
-                        to_agent,
-                        from_agent,
-                        job_tx,
-                        out_rx,
-                    };
-                    run_pump(pump, &mut driver, initial.as_deref(), sink)
-                })
-                .map_err(|_| Error::ServiceFailure("a runtime thread panicked".into()))?
+                    if ckpt.objects != dataset.len() || ckpt.annotators != pool.len() {
+                        return Err(ServeError::CorruptCheckpoint(format!(
+                            "checkpoint is for {} objects / {} annotators, run has {} / {}",
+                            ckpt.objects,
+                            ckpt.annotators,
+                            dataset.len(),
+                            pool.len()
+                        ))
+                        .into());
+                    }
+                    let core = AgentCore::restore(
+                        self.config.clone(),
+                        dataset,
+                        pool,
+                        serve.quarantine.clone(),
+                        ckpt.core,
+                    )?;
+                    (core, Some(ckpt.pump))
+                }
+            };
+            let mut pump = Pump::new(
+                dataset,
+                pool,
+                serve,
+                &dynamics,
+                fingerprint,
+                core,
+                self.config.budget,
+            )?;
+            match resume {
+                // A fresh run dispatches its initial panels at t = 0.
+                None => {
+                    let initial = pump.core.initial_panels();
+                    pump.dispatch(&initial)?;
+                }
+                // A restored run re-enters the loop directly: the initial
+                // panels were dispatched before the checkpoint.
+                Some(state) => {
+                    pump.restore(state)?;
+                    obs::counter_add("checkpoint.restore", 1);
+                    obs::gauge(
+                        "checkpoint.restore_ns",
+                        restore_start.elapsed().as_nanos() as f64,
+                    );
+                }
             }
-        };
+            pump.run(sink)
+        });
         drop(run_span);
         if let Ok(RunOutcome::Completed(outcome)) = &result {
             outcome.metrics.emit_trace();
@@ -942,18 +572,4 @@ impl AsyncRuntime {
         }
         result
     }
-}
-
-/// Dispatch the initial panels at t = 0 (fresh runs only — resumes enter
-/// mid-stream), then hand the loop to the pump.
-fn run_pump<D: Driver>(
-    mut pump: Pump<'_>,
-    driver: &mut D,
-    initial: Option<&[(ObjectId, Vec<AnnotatorId>)]>,
-    sink: CheckpointSink<'_>,
-) -> Result<RunOutcome> {
-    if let Some(initial) = initial {
-        pump.dispatch(driver, initial)?;
-    }
-    pump.run(driver, sink)
 }

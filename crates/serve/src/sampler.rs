@@ -4,9 +4,9 @@
 //! it, how long they take, and what label they give — is drawn from a
 //! dedicated RNG stream derived from `(sampling_seed, assignment_id)`.
 //! The draw therefore depends only on the assignment id, never on which
-//! thread performs it or in what order: the worker-pool mode can sample a
-//! batch on however many threads it likes and still produce the exact
-//! trace of the single-threaded mode.
+//! thread performs it or in what order: the service samples a batch on
+//! however many pool threads it likes and still produces the exact trace
+//! of a single-threaded run.
 
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool};
 use crowdrl_types::rng::{derive_seed, seeded};
@@ -27,23 +27,15 @@ pub struct SampleJob {
     pub truth: ClassId,
 }
 
-/// What the annotator did with the question.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampledOutcome {
-    /// The job's ledger id.
-    pub id: AssignmentId,
-    /// `Some((label, latency))` if they answer, `None` if they silently
-    /// drop the task (only the timeout will resolve it).
-    pub response: Option<(ClassId, SimTime)>,
-}
-
-/// Sample one assignment's outcome from its derived stream.
+/// Sample what the annotator does with one assignment, from its derived
+/// stream: `Some((label, latency))` if they answer, `None` if they
+/// silently drop the task (only the timeout will resolve it).
 pub fn sample_outcome(
     sampling_seed: u64,
     job: SampleJob,
     pool: &AnnotatorPool,
     dynamics: &[AnnotatorDynamics],
-) -> SampledOutcome {
+) -> Option<(ClassId, SimTime)> {
     let mut rng = seeded(derive_seed(sampling_seed, job.id.0));
     let dyn_a = &dynamics[job.annotator.index()];
     // Fixed draw order (drop, latency, label) so outcomes are a pure
@@ -51,14 +43,7 @@ pub fn sample_outcome(
     let dropped = rng.random::<f64>() < dyn_a.drop_rate;
     let latency = dyn_a.latency.sample(&mut rng);
     let label = pool.sample_answer(job.annotator, job.truth, &mut rng);
-    SampledOutcome {
-        id: job.id,
-        response: if dropped {
-            None
-        } else {
-            Some((label, latency))
-        },
-    }
+    (!dropped).then_some((label, latency))
 }
 
 #[cfg(test)]
@@ -81,16 +66,20 @@ mod tests {
         let b = sample_outcome(99, job, &pool, &dynamics);
         assert_eq!(a, b);
         // Different assignment ids draw from different streams.
-        let c = sample_outcome(
-            99,
-            SampleJob {
-                id: AssignmentId(18),
-                ..job
-            },
-            &pool,
-            &dynamics,
-        );
-        assert!(a.response != c.response || a.id != c.id);
+        let draws: Vec<_> = (0..8)
+            .map(|i| {
+                sample_outcome(
+                    99,
+                    SampleJob {
+                        id: AssignmentId(i),
+                        ..job
+                    },
+                    &pool,
+                    &dynamics,
+                )
+            })
+            .collect();
+        assert!(draws.iter().any(|d| *d != draws[0]));
     }
 
     #[test]
@@ -106,7 +95,7 @@ mod tests {
                 annotator: AnnotatorId(0),
                 truth: ClassId(0),
             };
-            assert_eq!(sample_outcome(3, job, &pool, &dynamics).response, None);
+            assert_eq!(sample_outcome(3, job, &pool, &dynamics), None);
         }
     }
 }

@@ -1,19 +1,101 @@
-//! Property tests for the assignment ledger's exactly-once guarantee.
+//! Property tests for exactly-once settlement: the assignment ledger
+//! driven against an [`AccountBook`] account, the way both runtimes
+//! drive it.
 //!
 //! Arbitrary interleavings of dispatch / deliver / expire — including
 //! duplicates, stale deliveries for expired assignments, and re-dispatch
-//! of freed pairs — must never overdraw the budget or charge an
-//! (object, annotator) pair twice. This is the money invariant the whole
-//! asynchronous runtime leans on.
+//! of freed pairs — must never overdraw the budget, charge an
+//! (object, annotator) pair twice, or let the account's reservations
+//! drift from the in-flight records. This is the money invariant the
+//! whole asynchronous runtime leans on.
 
-use crowdrl_serve::{AccountBook, AssignmentLedger, Delivery, Expiry};
+use crowdrl_serve::{AccountBook, AssignmentLedger, AssignmentStatus, Delivery, Expiry};
 use crowdrl_sim::{FaultInjector, FaultPlan};
-use crowdrl_types::{AnnotatorId, AssignmentId, Budget, ClassId, ObjectId, SimTime};
+use crowdrl_types::{AnnotatorId, AssignmentId, ClassId, ObjectId, SimTime};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 fn t(x: f64) -> SimTime {
     SimTime::new(x).unwrap()
+}
+
+/// A ledger settled against one [`AccountBook`] account, the way both
+/// runtimes drive it.
+struct Books {
+    ledger: AssignmentLedger,
+    accounts: AccountBook,
+}
+
+impl Books {
+    fn new(total: f64) -> Self {
+        let mut accounts = AccountBook::new();
+        accounts.open(total).unwrap();
+        Self {
+            ledger: AssignmentLedger::new(),
+            accounts,
+        }
+    }
+
+    /// Skip a claimed pair or a cost that does not fit; otherwise
+    /// reserve the cost and open the record.
+    fn dispatch(
+        &mut self,
+        object: u64,
+        annotator: u64,
+        cost: f64,
+        now: f64,
+        deadline: f64,
+    ) -> Option<AssignmentId> {
+        let (object, annotator) = (ObjectId(object as usize), AnnotatorId(annotator as usize));
+        if self.ledger.pair_claimed(object, annotator) || !self.accounts.can_reserve(0, cost) {
+            return None;
+        }
+        self.accounts.reserve(0, cost).unwrap();
+        Some(
+            self.ledger
+                .dispatch_reserved(object, annotator, cost, t(now), t(deadline))
+                .unwrap(),
+        )
+    }
+
+    /// Settle a delivery, charging an accepted one.
+    fn deliver(&mut self, id: AssignmentId, now: f64) -> Option<Delivery> {
+        let delivery = self.ledger.settle_deliver(id, t(now)).ok()?;
+        if let Delivery::Accepted { cost, .. } = delivery {
+            self.accounts.charge(0, cost).unwrap();
+        }
+        Some(delivery)
+    }
+
+    /// Settle a timeout, releasing a live one's reservation.
+    fn expire(&mut self, id: AssignmentId) -> Option<Expiry> {
+        let expiry = self.ledger.settle_expire(id).ok()?;
+        if let Expiry::TimedOut { cost } = expiry {
+            self.accounts.release(0, cost).unwrap();
+        }
+        Some(expiry)
+    }
+
+    fn spent(&self) -> f64 {
+        self.accounts.spent(0)
+    }
+
+    fn reserved(&self) -> f64 {
+        self.accounts.reserved(0)
+    }
+
+    /// How far the account's reservations sit from the in-flight
+    /// records' costs (zero while reservations are conserved).
+    fn reservation_drift(&self) -> f64 {
+        let in_flight: f64 = self
+            .ledger
+            .records()
+            .iter()
+            .filter(|r| r.status == AssignmentStatus::InFlight)
+            .map(|r| r.cost)
+            .sum();
+        (self.reserved() - in_flight).abs()
+    }
 }
 
 proptest! {
@@ -27,8 +109,7 @@ proptest! {
         total in 1.0f64..40.0,
         ops in proptest::collection::vec((0u8..4, 0u64..8, 0u64..5, 0.5f64..3.0), 1..250),
     ) {
-        let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(total).unwrap();
+        let mut books = Books::new(total);
         // Ground truth maintained independently of the ledger.
         let mut charged_pairs: HashSet<(ObjectId, AnnotatorId)> = HashSet::new();
         let mut expected_spent = 0.0f64;
@@ -36,21 +117,16 @@ proptest! {
 
         for (kind, x, y, cost) in ops {
             clock += 1.0;
-            let now = t(clock);
+            let id = AssignmentId(x % (books.ledger.len() as u64 + 1));
             match kind {
                 // Dispatch a random pair at a random cost.
                 0 => {
-                    let object = ObjectId(x as usize);
-                    let annotator = AnnotatorId(y as usize);
-                    let _ = ledger.dispatch(object, annotator, cost, now, t(clock + 5.0), &budget);
+                    books.dispatch(x, y, cost, clock, clock + 5.0);
                 }
                 // Deliver a (possibly unknown, possibly settled) assignment.
                 1 | 3 => {
-                    let id = AssignmentId(x % (ledger.len() as u64 + 1));
-                    if let Ok(Delivery::Accepted { cost, .. }) =
-                        ledger.deliver(id, now, &mut budget)
-                    {
-                        let record = ledger.record(id).unwrap();
+                    if let Some(Delivery::Accepted { cost, .. }) = books.deliver(id, clock) {
+                        let record = books.ledger.record(id).unwrap();
                         let pair = (record.object, record.annotator);
                         // Exactly-once: this pair was never charged before.
                         prop_assert!(charged_pairs.insert(pair), "pair {pair:?} charged twice");
@@ -59,9 +135,8 @@ proptest! {
                 }
                 // Expire a (possibly unknown, possibly settled) assignment.
                 _ => {
-                    let id = AssignmentId(x % (ledger.len() as u64 + 1));
-                    if let Ok(Expiry::TimedOut { .. }) = ledger.expire(id) {
-                        let record = ledger.record(id).unwrap();
+                    if let Some(Expiry::TimedOut { .. }) = books.expire(id) {
+                        let record = books.ledger.record(id).unwrap();
                         prop_assert!(
                             !charged_pairs.contains(&(record.object, record.annotator))
                                 || record.cost == 0.0,
@@ -72,32 +147,30 @@ proptest! {
             }
 
             // Invariants that must hold after every single operation.
-            prop_assert!(ledger.reserved() >= 0.0);
+            prop_assert!(books.reserved() >= 0.0);
+            prop_assert!(books.reservation_drift() < 1e-6, "reservations drifted");
+            prop_assert!(books.spent() <= total + 1e-9, "spent {} over total {total}", books.spent());
             prop_assert!(
-                budget.spent() <= total + 1e-9,
-                "spent {} over total {total}", budget.spent()
-            );
-            prop_assert!(
-                budget.spent() + ledger.reserved() <= total + 1e-9,
+                books.spent() + books.reserved() <= total + 1e-9,
                 "committed {} over total {total}",
-                budget.spent() + ledger.reserved()
+                books.spent() + books.reserved()
             );
             prop_assert!(
-                (budget.spent() - expected_spent).abs() < 1e-9,
-                "ledger spent {} diverged from accepted deliveries {expected_spent}",
-                budget.spent()
+                (books.spent() - expected_spent).abs() < 1e-9,
+                "account spent {} diverged from accepted deliveries {expected_spent}",
+                books.spent()
             );
         }
 
         // Closing the books: every in-flight reservation is released and
         // the spend still matches the accepted deliveries exactly.
-        for i in 0..ledger.len() as u64 {
-            let _ = ledger.expire(AssignmentId(i));
+        for i in 0..books.ledger.len() as u64 {
+            books.expire(AssignmentId(i));
         }
-        prop_assert!(ledger.reserved().abs() < 1e-9);
-        prop_assert_eq!(ledger.in_flight(), 0);
-        prop_assert!((budget.spent() - expected_spent).abs() < 1e-9);
-        prop_assert_eq!(charged_pairs.len(), budget.charge_count());
+        prop_assert!(books.reserved().abs() < 1e-9);
+        prop_assert_eq!(books.ledger.in_flight(), 0);
+        prop_assert!((books.spent() - expected_spent).abs() < 1e-9);
+        prop_assert_eq!(charged_pairs.len(), books.accounts.charge_count(0));
     }
 
     /// The same invariants under *injected* faults: random dispatch
@@ -132,8 +205,7 @@ proptest! {
         };
         let injector = FaultInjector::new(plan, 3).unwrap();
         let timeout = 6.0;
-        let mut ledger = AssignmentLedger::new();
-        let mut budget = Budget::new(total).unwrap();
+        let mut books = Books::new(total);
 
         // Dispatch on a staggered clock and build the event schedule the
         // runtime would enqueue: the (possibly rewritten) delivery, the
@@ -144,19 +216,10 @@ proptest! {
         let mut clock = 0.0f64;
         for (obj, ann, cost, latency) in dispatches {
             clock += 0.5;
-            let now = t(clock);
-            let deadline = t(clock + timeout);
-            let Ok(id) = ledger.dispatch(
-                ObjectId(obj as usize),
-                AnnotatorId(ann as usize),
-                cost,
-                now,
-                deadline,
-                &budget,
-            ) else {
+            let Some(id) = books.dispatch(obj, ann, cost, clock, clock + timeout) else {
                 continue;
             };
-            let out = injector.apply(id, AnnotatorId(ann as usize), now, timeout,
+            let out = injector.apply(id, AnnotatorId(ann as usize), t(clock), timeout,
                 Some((ClassId(0), t(latency))));
             if let Some((_, lat)) = out.response {
                 events.push((clock + lat.as_f64(), seq, id, true));
@@ -178,30 +241,31 @@ proptest! {
         let mut charged_pairs: HashSet<(ObjectId, AnnotatorId)> = HashSet::new();
         for (time, _, id, is_delivery) in events {
             if is_delivery {
-                if let Ok(Delivery::Accepted { .. }) = ledger.deliver(id, t(time), &mut budget) {
+                if let Some(Delivery::Accepted { .. }) = books.deliver(id, time) {
                     prop_assert!(accepted.insert(id), "assignment {id:?} charged twice");
-                    let record = ledger.record(id).unwrap();
+                    let record = books.ledger.record(id).unwrap();
                     let pair = (record.object, record.annotator);
                     prop_assert!(charged_pairs.insert(pair), "pair {pair:?} charged twice");
                 }
-            } else if let Ok(Expiry::TimedOut { .. }) = ledger.expire(id) {
+            } else if let Some(Expiry::TimedOut { .. }) = books.expire(id) {
                 // At most one timeout per assignment — the runtime
                 // requeues on TimedOut, so this is the no-double-requeue
                 // guarantee.
                 prop_assert!(timed_out.insert(id), "assignment {id:?} timed out twice");
                 prop_assert!(!accepted.contains(&id), "timed out after acceptance");
             }
+            prop_assert!(books.reservation_drift() < 1e-6, "reservations drifted");
             prop_assert!(
-                budget.spent() + ledger.reserved() <= total + 1e-9,
+                books.spent() + books.reserved() <= total + 1e-9,
                 "committed {} over total {total}",
-                budget.spent() + ledger.reserved()
+                books.spent() + books.reserved()
             );
         }
 
         // Every assignment settled exactly one way; the books balance.
-        prop_assert_eq!(ledger.in_flight(), 0);
-        prop_assert!(ledger.reserved().abs() < 1e-9);
-        prop_assert_eq!(charged_pairs.len(), budget.charge_count());
+        prop_assert_eq!(books.ledger.in_flight(), 0);
+        prop_assert!(books.reserved().abs() < 1e-9);
+        prop_assert_eq!(charged_pairs.len(), books.accounts.charge_count(0));
     }
 
     /// Multi-tenant money: arbitrary interleavings of reserve / charge /

@@ -11,7 +11,8 @@
 //! either [`ExecMode`].
 //!
 //! The wire format reuses `crowdrl-serve`'s checkpoint codec and its
-//! [`record_codec!`] field tables: one
+//! [`record_codec!`] field tables — the shard, account and metrics
+//! records are the ones the single-run checkpoint stores: one
 //! deterministic JSON document, `f64`s as 16-hex-digit IEEE-754 bit
 //! patterns (resume must not round-trip money or clocks through decimal
 //! text), objects in `BTreeMap` key order so the same checkpoint always
@@ -34,64 +35,22 @@ use crate::error::ServiceError;
 use crowdrl_core::outcome::LabellingOutcome;
 use crowdrl_obs::json::{parse, Value};
 use crowdrl_serve::checkpoint::{
-    arr_usize, bits_f64, boolean, dec_answers, dec_core, dec_event, dec_label_state, dec_record,
-    dec_stats, dec_trace_event, enc_answers, enc_core, enc_event, enc_label_state, enc_record,
-    enc_stats, enc_trace_event, f64s, field, get_arr, get_bool, get_f64_bits, get_f64s,
-    get_hex_u64, get_list, get_object_ids, get_record, get_sim_time, get_str, get_usize, hex_u64,
-    hex_u64s, list, num, obj, object_ids, opt_classes, parse_hex_u64, sim_time, usizes, versioned,
+    arr_usize, bits_f64, boolean, dec_account, dec_answers, dec_collector, dec_core,
+    dec_label_state, dec_shard, dec_stats, dec_trace_event, enc_account, enc_answers,
+    enc_collector, enc_core, enc_label_state, enc_shard, enc_stats, enc_trace_event, field,
+    get_arr, get_bool, get_f64_bits, get_hex_u64, get_list, get_object_ids, get_opt_classes,
+    get_record, get_sim_time, get_str, get_usize, hex_u64, list, num, obj, object_ids, opt_classes,
+    sim_time, usizes, versioned,
 };
 use crowdrl_serve::core_loop::CoreState;
 use crowdrl_serve::{
-    record_codec, AccountState, AssignmentRecord, Event, ExecMode, ServiceMetrics, TraceEvent,
+    record_codec, AccountState, ExecMode, MetricsCollector, ServiceMetrics, ShardState, TraceEvent,
 };
 use crowdrl_sim::AnnotatorPool;
-use crowdrl_types::{AnswerSet, ClassId, ObjectId, Result, SimTime};
+use crowdrl_types::{AnswerSet, ObjectId, Result, SimTime};
 
 /// Format version stamped into every service checkpoint.
 const VERSION: usize = 1;
-
-/// One shard frozen at a round boundary: its event queue, ledger slice,
-/// uid/label mappings, and merge frontier.
-#[derive(Debug, Clone)]
-pub struct ShardState {
-    /// The shard clock (event-queue `now`).
-    pub now: SimTime,
-    /// Event-queue sequence counter.
-    pub next_seq: u64,
-    /// Pending events in deterministic (pop) order.
-    pub events: Vec<Event>,
-    /// Every ledger record this shard ever issued, in local-id order.
-    pub records: Vec<AssignmentRecord>,
-    /// Shard-local assignment id → service-wide uid.
-    pub uids: Vec<u64>,
-    /// Shard-local assignment id → sampled label (`None` = dropped).
-    pub labels: Vec<Option<ClassId>>,
-    /// The horizon the shard was last advanced to.
-    pub frontier: SimTime,
-}
-
-/// The raw metrics counters of one running project (the
-/// [`MetricsCollector`](crowdrl_serve::MetricsCollector) fields,
-/// bit-exact).
-#[derive(Debug, Clone, Default)]
-pub struct CollectorState {
-    /// Delivered-answer latencies in arrival order.
-    pub latencies: Vec<f64>,
-    /// Questions dispatched.
-    pub dispatched: usize,
-    /// Answers delivered.
-    pub delivered: usize,
-    /// Answers rejected late.
-    pub rejected: usize,
-    /// Timeouts fired.
-    pub timeouts: usize,
-    /// Objects requeued.
-    pub requeues: usize,
-    /// Refreshes run.
-    pub refreshes: usize,
-    /// Events processed.
-    pub events: usize,
-}
 
 /// Everything a running project carries: the agent core's learning
 /// state plus the service-side scheduling state around it.
@@ -112,7 +71,7 @@ pub struct ActiveProjectState {
     /// Objects that exhausted their requeue allowance, ascending.
     pub abandoned: Vec<ObjectId>,
     /// Raw metrics counters.
-    pub collector: CollectorState,
+    pub collector: MetricsCollector,
     /// When the project activated.
     pub started_at: SimTime,
     /// The core reported all objects labelled.
@@ -221,42 +180,8 @@ record_codec! {
 }
 
 record_codec! {
-    AccountState: enc_account / dec_account {
-        "total" => total: bits_f64, get_f64_bits;
-        "spent" => spent: bits_f64, get_f64_bits;
-        "charges" => charges: num, get_usize;
-        "reserved" => reserved: bits_f64, get_f64_bits;
-    }
-}
-
-record_codec! {
-    ShardState: enc_shard / dec_shard {
-        "now" => now: sim_time, get_sim_time;
-        "next_seq" => next_seq: hex_u64, get_hex_u64;
-        "events" => events: list(enc_event), get_list(dec_event);
-        "records" => records: list(enc_record), get_list(dec_record);
-        "uids" => uids: hex_u64s, get_uids;
-        "labels" => labels: opt_classes, dec_labels;
-        "frontier" => frontier: sim_time, get_sim_time;
-    }
-}
-
-record_codec! {
-    CollectorState: enc_collector / dec_collector {
-        "latencies" => latencies: f64s, get_f64s;
-        "dispatched" => dispatched: num, get_usize;
-        "delivered" => delivered: num, get_usize;
-        "rejected" => rejected: num, get_usize;
-        "timeouts" => timeouts: num, get_usize;
-        "requeues" => requeues: num, get_usize;
-        "refreshes" => refreshes: num, get_usize;
-        "events" => events: num, get_usize;
-    }
-}
-
-record_codec! {
     LabellingOutcome: enc_outcome / dec_outcome {
-        "labels" => labels: opt_classes, dec_labels;
+        "labels" => labels: opt_classes, get_opt_classes;
         "label_states" => label_states: list(enc_label_state), get_list(dec_label_state);
         "budget_spent" => budget_spent: bits_f64, get_f64_bits;
         "iterations" => iterations: num, get_usize;
@@ -385,29 +310,6 @@ fn dec_traced(v: &Value) -> Result<(usize, TraceEvent)> {
     Ok((get_usize(v, "p")?, dec_trace_event(field(v, "e")?)?))
 }
 
-fn dec_labels(v: &Value, key: &str) -> Result<Vec<Option<ClassId>>> {
-    get_arr(v, key)?
-        .iter()
-        .enumerate()
-        .map(|(i, x)| match x {
-            Value::Null => Ok(None),
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(Some(ClassId(*n as usize))),
-            _ => Err(corrupt(format!("{key}[{i}] is not null or a class"))),
-        })
-        .collect()
-}
-
-fn get_uids(v: &Value, key: &str) -> Result<Vec<u64>> {
-    get_arr(v, key)?
-        .iter()
-        .enumerate()
-        .map(|(i, x)| match x {
-            Value::Str(s) => parse_hex_u64(s, "shard uid"),
-            _ => Err(corrupt(format!("{key}[{i}] is not a hex string"))),
-        })
-        .collect()
-}
-
 fn enc_project(p: &ProjectCheckpoint) -> Value {
     match p {
         ProjectCheckpoint::Rejected => obj([("status", Value::Str("rejected".into()))]),
@@ -451,7 +353,7 @@ fn dec_project(v: &Value) -> Result<ProjectCheckpoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crowdrl_types::LabelState;
+    use crowdrl_types::{ClassId, LabelState};
 
     fn sample_metrics() -> ServiceMetrics {
         ServiceMetrics {

@@ -186,13 +186,7 @@ impl ServiceConfig {
                 self.time_watermark
             )));
         }
-        if let ExecMode::WorkerPool { workers } = self.mode {
-            if workers == 0 {
-                return Err(Error::InvalidParameter(
-                    "worker pool must have at least one worker".into(),
-                ));
-            }
-        }
+        self.mode.validate()?;
         if !self.min_free_slot_ratio.is_finite() || !(0.0..=1.0).contains(&self.min_free_slot_ratio)
         {
             return Err(Error::InvalidParameter(format!(

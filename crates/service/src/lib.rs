@@ -12,10 +12,11 @@
 //!   **admission control** ([`AdmissionPolicy`]): reject or queue
 //!   submissions past [`ServiceConfig::capacity`];
 //! * each project's objects **sharded across P partitions**, every
-//!   shard a private event loop + ledger slice, advanced in parallel on
-//!   the shared thread pool and merged back deterministically (the
-//!   refresh watermark is the *minimum* frontier over a project's
-//!   shards);
+//!   shard ([`Shard`](crowdrl_serve::Shard), the single-run pump's own
+//!   event loop + ledger slice) advanced in parallel on the shared
+//!   thread pool and merged back deterministically through the pump's
+//!   settlement function (the refresh watermark is the *minimum*
+//!   frontier over a project's shards);
 //! * one **pool broker** ([`PoolBroker`]) arbitrating annotator
 //!   concurrency slots across projects in a stable (priority,
 //!   submission) order, plus **cross-project quarantine evidence** — an
@@ -74,12 +75,10 @@ pub mod error;
 pub mod metrics;
 pub mod project;
 pub mod service;
-pub(crate) mod shard;
 
 pub use broker::PoolBroker;
 pub use checkpoint::{
-    service_fingerprint, ActiveProjectState, CollectorState, ProjectCheckpoint, ServiceCheckpoint,
-    ShardState,
+    service_fingerprint, ActiveProjectState, ProjectCheckpoint, ServiceCheckpoint,
 };
 pub use config::{AdmissionPolicy, ProjectSpec, ServiceConfig};
 pub use error::ServiceError;

@@ -1,13 +1,10 @@
 //! Per-project runtime state: one full CrowdRL run, sharded.
 
-use crate::shard::Shard;
 use crowdrl_core::outcome::LabellingOutcome;
 use crowdrl_serve::core_loop::AgentCore;
-use crowdrl_serve::metrics::MetricsCollector;
-use crowdrl_serve::ServiceMetrics;
-use crowdrl_types::{AnswerSet, ObjectId, SimTime};
+use crowdrl_serve::{RunBook, ServiceMetrics, Shard};
+use crowdrl_types::{ObjectId, SimTime};
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// Where a project is in its service lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,21 +38,9 @@ pub(crate) struct Project<'a> {
     pub core: AgentCore<'a>,
     /// The project's event-loop partitions.
     pub shards: Vec<Shard>,
-    /// Merged answers across shards, in deterministic merge order.
-    /// Shared with the core per refresh as a cheap `Arc` clone; the
-    /// merge mutates through `Arc::make_mut` (in place once the round's
-    /// requests are dropped).
-    pub answers: Arc<AnswerSet>,
-    /// Answers merged since the last refresh.
-    pub answers_since: usize,
-    /// Watermark reading at the last refresh.
-    pub last_refresh: SimTime,
-    /// Per-object requeue counts.
-    pub requeues: Vec<usize>,
-    /// Objects that exhausted their requeue allowance.
-    pub abandoned: HashSet<ObjectId>,
-    /// Raw service observations (dispatches, latencies, …).
-    pub collector: MetricsCollector,
+    /// Merged settlements across shards, in deterministic merge order:
+    /// answers, requeue tallies, metrics counters, the last refresh.
+    pub book: RunBook,
     /// When the project activated (queued projects start late).
     pub started_at: SimTime,
     /// Lifecycle state.
@@ -111,21 +96,19 @@ impl Project<'_> {
         self.shards.iter().map(Shard::pending).sum()
     }
 
-    /// Whether a refresh is due: enough answers since the last one, or
-    /// enough watermark time with at least one answer — or the project
-    /// is idle (nothing in flight), in which case only a refresh can
-    /// move it forward.
+    /// Whether a refresh is due: a watermark tripped at the merge
+    /// watermark — or the project is idle (nothing in flight), in which
+    /// case only a refresh can move it forward.
     pub fn refresh_due(&self, answer_watermark: usize, time_watermark: f64) -> bool {
-        self.answers_since >= answer_watermark
-            || (self.answers_since > 0
-                && (self.watermark() - self.last_refresh).as_f64() >= time_watermark)
+        self.book
+            .watermark_due(self.watermark(), answer_watermark, time_watermark)
             || self.is_idle()
     }
 
     /// Objects the core must not select: in flight on any shard, or
     /// abandoned.
     pub fn blocked(&self) -> HashSet<ObjectId> {
-        let mut blocked: HashSet<ObjectId> = self.abandoned.iter().copied().collect();
+        let mut blocked: HashSet<ObjectId> = self.book.abandoned.iter().copied().collect();
         for shard in &self.shards {
             blocked.extend(shard.objects_in_flight());
         }

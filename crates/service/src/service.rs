@@ -12,9 +12,10 @@
 //!    each produces a [`ShardBatch`] of settlements in its own event
 //!    order.
 //! 3. **Merge (sequential).** Batches are applied in *(project, shard,
-//!    event)* order: deliveries charge the project's account
-//!    ([`AccountBook`]) and release broker slots, expiries release
-//!    reservations and requeue objects. The merged answer stream, money
+//!    event)* order through `RunBook::apply` — the single-run pump's
+//!    settlement function: deliveries charge the project's account
+//!    ([`AccountBook`]), expiries release reservations and requeue
+//!    objects; both release broker slots. The merged answer stream, money
 //!    movement, and trace are therefore identical at any thread count.
 //! 4. **Refresh (parallel).** Projects whose watermark is due run truth
 //!    inference + DQN training concurrently — each project's
@@ -33,34 +34,28 @@
 //! stateful effect happens in the sequential merge/grant phases, so the
 //! trace is invariant by construction, not by testing luck.
 //!
-//! [`ShardBatch`]: crate::shard::ShardBatch
+//! [`ExecMode`]: crowdrl_serve::ExecMode
+//! [`ShardBatch`]: crowdrl_serve::ShardBatch
 //! [`AccountBook`]: crowdrl_serve::AccountBook
 //! [`AgentCore`]: crowdrl_serve::core_loop::AgentCore
 
 use crate::broker::PoolBroker;
 use crate::checkpoint::{
-    service_fingerprint, ActiveProjectState, CollectorState, ProjectCheckpoint, ServiceCheckpoint,
+    service_fingerprint, ActiveProjectState, ProjectCheckpoint, ServiceCheckpoint,
 };
 use crate::config::{AdmissionPolicy, ProjectSpec, ServiceConfig};
 use crate::error::ServiceError;
 use crate::metrics::{AggregateMetrics, ProjectReport, ServiceOutcome};
 use crate::project::{Project, ProjectStatus};
-use crate::shard::{Shard, ShardBatch, ShardEvent};
 use crowdrl_linalg::pool::{self as tpool, SendPtr};
 use crowdrl_obs as obs;
-use crowdrl_serve::core_loop::{
-    AgentCore, BudgetView, FinalizeRequest, RefreshReply, RefreshRequest,
-};
-use crowdrl_serve::metrics::MetricsCollector;
-use crowdrl_serve::sampler::{sample_outcome, SampleJob, SampledOutcome};
-use crowdrl_serve::{AccountBook, ExecMode, RunControl, TraceEvent};
+use crowdrl_serve::core_loop::{AgentCore, RefreshReply};
+use crowdrl_serve::sampler::{sample_outcome, SampleJob};
+use crowdrl_serve::{AccountBook, RunBook, RunControl, Shard, ShardBatch, ShardEvent, TraceEvent};
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool};
-use crowdrl_types::{
-    AnnotatorId, Answer, AnswerSet, AssignmentId, Error, ObjectId, Result, SimTime,
-};
+use crowdrl_types::{AnnotatorId, AssignmentId, Error, Result, SimTime};
 use rand::Rng;
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 use std::time::Instant;
 
 /// Sampling fan-out granularity (assignments per worker chunk).
@@ -84,6 +79,8 @@ pub enum ServiceRunOutcome {
 /// A multi-tenant labelling service: many concurrent CrowdRL projects
 /// over one shared annotator pool. See the module docs for the round
 /// structure and the determinism argument.
+///
+/// [`ExecMode`]: crowdrl_serve::ExecMode
 #[derive(Debug, Clone)]
 pub struct Service {
     config: ServiceConfig,
@@ -190,14 +187,8 @@ impl Service {
         let seeds: Vec<u64> = specs.iter().map(|_| rng.random()).collect();
 
         // ExecMode = thread cap around one shared implementation.
-        let threads = match self.config.mode {
-            ExecMode::SingleThread => 1,
-            ExecMode::WorkerPool { workers } => workers,
-        };
-        let previous = tpool::max_threads();
-        tpool::set_threads(threads);
         let started = Instant::now();
-        let result = (|| -> Result<ServiceRunOutcome> {
+        let result = self.config.mode.capped(|| -> Result<ServiceRunOutcome> {
             let mut engine = Engine::new(
                 &self.config,
                 specs,
@@ -221,8 +212,7 @@ impl Service {
             Ok(ServiceRunOutcome::Completed(Box::new(
                 engine.into_outcome(started.elapsed().as_secs_f64()),
             )))
-        })();
-        tpool::set_threads(previous);
+        });
         let outcome = result?;
         drop(run_span);
         if let ServiceRunOutcome::Completed(o) = &outcome {
@@ -358,12 +348,7 @@ impl<'a> Engine<'a> {
                 priority: spec.priority,
                 core,
                 shards: Vec::new(),
-                answers: Arc::new(AnswerSet::new(spec.dataset.len())),
-                answers_since: 0,
-                last_refresh: SimTime::ZERO,
-                requeues: vec![0; spec.dataset.len()],
-                abandoned: HashSet::new(),
-                collector: MetricsCollector::default(),
+                book: RunBook::new(spec.dataset.len()),
                 started_at: SimTime::ZERO,
                 status: ProjectStatus::Queued,
                 done: false,
@@ -444,7 +429,7 @@ impl<'a> Engine<'a> {
             let p = self.project_mut(i);
             p.status = ProjectStatus::Active;
             p.started_at = at;
-            p.last_refresh = at;
+            p.book.last_refresh = at;
             p.shards = (0..shards).map(|_| Shard::new(at)).collect();
             p.core.initial_panels()
         };
@@ -513,7 +498,7 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        self.project_mut(i).collector.dispatched += grants.len();
+        self.project_mut(i).book.collector.dispatched += grants.len();
         Ok((grants, contended))
     }
 
@@ -535,7 +520,7 @@ impl<'a> Engine<'a> {
             .collect();
         let seed = self.cfg.sampling_seed;
         let (pool_ref, dynamics) = (self.pool, self.dynamics);
-        let outcomes: Vec<SampledOutcome> = tpool::map_chunks(jobs.len(), SAMPLE_CHUNK, |range| {
+        let outcomes: Vec<_> = tpool::map_chunks(jobs.len(), SAMPLE_CHUNK, |range| {
             range
                 .map(|k| sample_outcome(seed, jobs[k], pool_ref, dynamics))
                 .collect::<Vec<_>>()
@@ -547,13 +532,12 @@ impl<'a> Engine<'a> {
         let now = self.now;
         let cfg = self.cfg;
         for (grant, outcome) in grants.iter().zip(outcomes) {
-            debug_assert_eq!(outcome.id.0, grant.uid);
             // Project-scoped outage windows push the arrival past the
             // window's end (fixed point — windows may chain); an arrival
             // deferred past the deadline late-rejects as usual. Untouched
             // arrivals keep their exact latency bits, so projects without
             // outages are bit-identical to a no-fault run.
-            let response = match outcome.response {
+            let response = match outcome {
                 Some((label, latency)) => {
                     let arrival = now + latency;
                     let deferred = cfg.faults.defer(grant.project, arrival.as_f64());
@@ -574,6 +558,7 @@ impl<'a> Engine<'a> {
                 now,
                 deadline,
                 response,
+                None,
             )?;
         }
         Ok(grants.len())
@@ -660,7 +645,7 @@ impl<'a> Engine<'a> {
                     for event in batch.events {
                         self.apply(i, event)?;
                     }
-                    self.project_mut(i).collector.events += batch.processed;
+                    self.project_mut(i).book.collector.events += batch.processed;
                 }
             }
         }
@@ -708,32 +693,34 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        // In-flight assignments: settle them expired, return the slots
-        // and reservations.
-        let released = {
-            let p = self.projects[i].as_mut().expect("failing project");
-            let mut released = Vec::new();
-            for shard in &mut p.shards {
-                released.extend(shard.cancel_in_flight()?);
-            }
-            released
-        };
+        self.retire(i, ProjectStatus::Failed)?;
+        self.errors[i] = Some(ServiceError::ProjectFailed { project: i, reason });
+        obs::counter_add("service.project_failed", 1);
+        Ok(())
+    }
+
+    /// Take project `i` out of the active set as `status`: settle its
+    /// in-flight assignments expired (returning their broker slots and
+    /// budget reservations), withdraw its quarantine evidence from the
+    /// shared broker, and freeze its metrics.
+    fn retire(&mut self, i: usize, status: ProjectStatus) -> Result<()> {
+        let p = self.projects[i].as_mut().expect("retiring project");
+        let mut released = Vec::new();
+        for shard in &mut p.shards {
+            released.extend(shard.cancel_in_flight()?);
+        }
         for (annotator, cost) in released {
             self.broker.release(annotator.index());
             self.accounts.release(i, cost)?;
         }
         self.broker.clear_project(i);
         let spent = self.accounts.spent(i);
-        let p = self.projects[i].as_mut().expect("failing project");
-        let duration = p.watermark() - p.started_at;
-        let scope = format!("project.{}.", p.index);
-        let collector = std::mem::take(&mut p.collector);
-        let metrics = collector.finish(duration, 0.0, spent);
-        metrics.emit_trace_scoped(&scope);
+        let p = self.projects[i].as_mut().expect("retiring project");
+        let collector = std::mem::take(&mut p.book.collector);
+        let metrics = collector.finish(p.watermark() - p.started_at, 0.0, spent);
+        metrics.emit_trace_scoped(&format!("project.{}.", p.index));
         p.metrics = Some(metrics);
-        p.status = ProjectStatus::Failed;
-        self.errors[i] = Some(ServiceError::ProjectFailed { project: i, reason });
-        obs::counter_add("service.project_failed", 1);
+        p.status = status;
         self.active.retain(|&x| x != i);
         Ok(())
     }
@@ -765,76 +752,15 @@ impl<'a> Engine<'a> {
     /// Apply one settlement to the shared books, the project state, and
     /// the trace. Called only from the sequential merge.
     fn apply(&mut self, i: usize, event: ShardEvent) -> Result<()> {
-        match event {
-            ShardEvent::Delivered {
-                uid,
-                object,
-                annotator,
-                label,
-                latency,
-                cost,
-                at,
-            } => {
-                self.accounts.charge(i, cost)?;
-                self.broker.release(annotator.index());
-                let p = self.projects[i].as_mut().expect("active project");
-                Arc::make_mut(&mut p.answers).record(Answer {
-                    object,
-                    annotator,
-                    label,
-                })?;
-                p.answers_since += 1;
-                p.collector.delivered += 1;
-                p.collector.latencies.push(latency.as_f64());
-                self.trace.push((
-                    i,
-                    TraceEvent::Delivered {
-                        at,
-                        id: AssignmentId(uid),
-                        label,
-                    },
-                ));
-            }
-            ShardEvent::RejectedLate { uid, at } => {
-                let p = self.projects[i].as_mut().expect("active project");
-                p.collector.rejected += 1;
-                self.trace.push((
-                    i,
-                    TraceEvent::Rejected {
-                        at,
-                        id: AssignmentId(uid),
-                    },
-                ));
-            }
-            ShardEvent::Expired {
-                uid,
-                object,
-                annotator,
-                cost,
-                at,
-            } => {
-                self.accounts.release(i, cost)?;
-                self.broker.release(annotator.index());
-                let max_requeues = self.cfg.max_requeues;
-                let p = self.projects[i].as_mut().expect("active project");
-                p.collector.timeouts += 1;
-                p.requeues[object.index()] += 1;
-                let requeued = p.requeues[object.index()] <= max_requeues;
-                if requeued {
-                    p.collector.requeues += 1;
-                } else {
-                    p.abandoned.insert(object);
-                }
-                self.trace.push((
-                    i,
-                    TraceEvent::Expired {
-                        at,
-                        id: AssignmentId(uid),
-                        requeued,
-                    },
-                ));
-            }
+        if let ShardEvent::Delivered { annotator, .. } | ShardEvent::Expired { annotator, .. } =
+            event
+        {
+            self.broker.release(annotator.index());
         }
+        let max_requeues = self.cfg.max_requeues;
+        let p = self.projects[i].as_mut().expect("active project");
+        let traced = p.book.apply(event, &mut self.accounts, i, max_requeues)?;
+        self.trace.push((i, traced));
         Ok(())
     }
 
@@ -860,18 +786,13 @@ impl<'a> Engine<'a> {
         let mut requests = Vec::with_capacity(due.len());
         for &i in due {
             let p = self.project(i);
-            requests.push(RefreshRequest {
-                answers: Arc::clone(&p.answers),
-                view: BudgetView {
-                    total: self.accounts.total(i),
-                    spent: self.accounts.spent(i),
-                    reserved: self.accounts.reserved(i),
-                },
-                blocked: p.blocked(),
-                slots: Some(slots.clone()),
-                now: p.watermark(),
-                answers_since: p.answers_since,
-            });
+            requests.push(p.book.refresh_request(
+                &self.accounts,
+                i,
+                p.blocked(),
+                Some(slots.clone()),
+                p.watermark(),
+            ));
         }
         let mut ptrs: Vec<SendPtr<Project<'a>>> = Vec::with_capacity(due.len());
         for &i in due {
@@ -894,40 +815,13 @@ impl<'a> Engine<'a> {
         let mut total_dispatched = 0;
         for (k, &i) in due.iter().enumerate() {
             let reply = replies[k].take().expect("chunk ran")?;
-            let at = requests[k].now;
-            {
-                let p = self.projects[i].as_mut().expect("active project");
-                p.collector.refreshes += 1;
-                p.answers_since = 0;
-                p.last_refresh = at;
-                p.done = reply.done;
-                let answers = p.answers.total_answers();
-                self.trace.push((
-                    i,
-                    TraceEvent::Refreshed {
-                        at,
-                        answers,
-                        labelled: reply.labelled,
-                    },
-                ));
-            }
+            let p = self.projects[i].as_mut().expect("active project");
+            p.done = reply.done;
+            let traced = p.book.refreshed(requests[k].now, &reply);
+            self.trace.extend(traced.map(|event| (i, event)));
             for q in &reply.quarantine {
                 self.broker
                     .note_quarantine(i, q.annotator.index(), q.entered);
-                self.trace.push((
-                    i,
-                    if q.entered {
-                        TraceEvent::Quarantined {
-                            at,
-                            annotator: q.annotator,
-                        }
-                    } else {
-                        TraceEvent::QuarantineReleased {
-                            at,
-                            annotator: q.annotator,
-                        }
-                    },
-                ));
             }
             let (grants, contended) = self.grant(i, &reply.panels)?;
             let dispatched = self.dispatch(grants)?;
@@ -937,40 +831,13 @@ impl<'a> Engine<'a> {
         Ok(total_dispatched)
     }
 
-    /// Retire project `i`: cancel in-flight work (returning its budget
-    /// reservations and broker slots), withdraw its quarantine evidence,
-    /// run the core's final inference, and freeze its metrics.
+    /// Complete project `i`: run the core's final inference, then
+    /// [`retire`](Self::retire) it.
     fn finalize(&mut self, i: usize) -> Result<()> {
-        let released = {
-            let p = self.projects[i].as_mut().expect("active project");
-            let mut released = Vec::new();
-            for shard in &mut p.shards {
-                released.extend(shard.cancel_in_flight()?);
-            }
-            released
-        };
-        for (annotator, cost) in released {
-            self.broker.release(annotator.index());
-            self.accounts.release(i, cost)?;
-        }
-        self.broker.clear_project(i);
         let spent = self.accounts.spent(i);
         let p = self.projects[i].as_mut().expect("active project");
-        let request = FinalizeRequest {
-            answers: Arc::clone(&p.answers),
-            budget_spent: spent,
-        };
-        let outcome = p.core.finalize(&request)?;
-        let duration = p.watermark() - p.started_at;
-        let scope = format!("project.{}.", p.index);
-        let collector = std::mem::take(&mut p.collector);
-        let metrics = collector.finish(duration, 0.0, spent);
-        metrics.emit_trace_scoped(&scope);
-        p.outcome = Some(outcome);
-        p.metrics = Some(metrics);
-        p.status = ProjectStatus::Completed;
-        self.active.retain(|&x| x != i);
-        Ok(())
+        p.outcome = Some(p.core.finalize(&p.book.answers, spent)?);
+        self.retire(i, ProjectStatus::Completed)
     }
 
     /// The round loop (see module docs). Returns `true` if a checkpoint
@@ -1071,26 +938,15 @@ impl<'a> Engine<'a> {
                 Some(p) => match p.status {
                     ProjectStatus::Queued => ProjectCheckpoint::Queued,
                     ProjectStatus::Active => {
-                        let mut abandoned: Vec<ObjectId> = p.abandoned.iter().copied().collect();
-                        abandoned.sort_by_key(|o| o.index());
                         ProjectCheckpoint::Active(Box::new(ActiveProjectState {
                             core: p.core.export_state(),
                             shards: p.shards.iter().map(Shard::export).collect(),
-                            answers: (*p.answers).clone(),
-                            answers_since: p.answers_since,
-                            last_refresh: p.last_refresh,
-                            requeues: p.requeues.clone(),
-                            abandoned,
-                            collector: CollectorState {
-                                latencies: p.collector.latencies.clone(),
-                                dispatched: p.collector.dispatched,
-                                delivered: p.collector.delivered,
-                                rejected: p.collector.rejected,
-                                timeouts: p.collector.timeouts,
-                                requeues: p.collector.requeues,
-                                refreshes: p.collector.refreshes,
-                                events: p.collector.events,
-                            },
+                            answers: (*p.book.answers).clone(),
+                            answers_since: p.book.answers_since,
+                            last_refresh: p.book.last_refresh,
+                            requeues: p.book.requeues.clone(),
+                            abandoned: p.book.abandoned_sorted(),
+                            collector: p.book.collector.clone(),
                             started_at: p.started_at,
                             done: p.done,
                             starved: p.starved,
@@ -1176,24 +1032,26 @@ impl<'a> Engine<'a> {
         let specs = self.specs;
         let pool = self.pool;
         for (i, pc) in cp.projects.into_iter().enumerate() {
+            let stage = match &pc {
+                ProjectCheckpoint::Rejected => "rejected",
+                ProjectCheckpoint::Queued => "queued",
+                ProjectCheckpoint::Active(_) => "active",
+                ProjectCheckpoint::Completed { .. } => "completed",
+                ProjectCheckpoint::Failed { .. } => "failed",
+            };
             let admitted = self.projects[i].is_some();
+            if admitted == (stage == "rejected") {
+                let here = if admitted { "admitted" } else { "rejected" };
+                return Err(ServiceError::CorruptCheckpoint(format!(
+                    "project {i} is {stage} in the checkpoint but {here} here"
+                ))
+                .into());
+            }
+            let Some(p) = self.projects[i].as_mut() else {
+                continue;
+            };
             match pc {
-                ProjectCheckpoint::Rejected => {
-                    if admitted {
-                        return Err(ServiceError::CorruptCheckpoint(format!(
-                            "project {i} is rejected in the checkpoint but admitted here"
-                        ))
-                        .into());
-                    }
-                }
-                ProjectCheckpoint::Queued => {
-                    if !admitted {
-                        return Err(ServiceError::CorruptCheckpoint(format!(
-                            "project {i} is queued in the checkpoint but rejected here"
-                        ))
-                        .into());
-                    }
-                }
+                ProjectCheckpoint::Rejected | ProjectCheckpoint::Queued => {}
                 ProjectCheckpoint::Active(state) => {
                     let state = *state;
                     let spec = &specs[i];
@@ -1201,66 +1059,43 @@ impl<'a> Engine<'a> {
                     if let Some(decide) = cfg.decide {
                         project_config.decide = decide;
                     }
-                    let mut core = AgentCore::restore(
+                    p.core = AgentCore::restore(
                         project_config,
                         &spec.dataset,
                         pool,
                         cfg.quarantine.clone(),
                         state.core,
                     )?;
-                    core.set_obs_scope(format!("project.{i}."));
-                    let shards = state
+                    p.core.set_obs_scope(format!("project.{i}."));
+                    p.shards = state
                         .shards
                         .into_iter()
                         .map(Shard::restore)
                         .collect::<Result<Vec<_>>>()?;
-                    let p = self.projects[i].as_mut().ok_or_else(|| -> Error {
-                        ServiceError::CorruptCheckpoint(format!(
-                            "project {i} is active in the checkpoint but rejected here"
-                        ))
-                        .into()
+                    p.book = RunBook::restore(
+                        spec.dataset.len(),
+                        state.answers,
+                        state.answers_since,
+                        state.last_refresh,
+                        state.requeues,
+                        state.abandoned,
+                        state.collector,
+                    )
+                    .map_err(|why| {
+                        ServiceError::CorruptCheckpoint(format!("project {i}: {why}"))
                     })?;
-                    p.core = core;
-                    p.shards = shards;
-                    p.answers = Arc::new(state.answers);
-                    p.answers_since = state.answers_since;
-                    p.last_refresh = state.last_refresh;
-                    p.requeues = state.requeues;
-                    p.abandoned = state.abandoned.into_iter().collect();
-                    p.collector = MetricsCollector {
-                        latencies: state.collector.latencies,
-                        dispatched: state.collector.dispatched,
-                        delivered: state.collector.delivered,
-                        rejected: state.collector.rejected,
-                        timeouts: state.collector.timeouts,
-                        requeues: state.collector.requeues,
-                        refreshes: state.collector.refreshes,
-                        events: state.collector.events,
-                    };
                     p.started_at = state.started_at;
                     p.status = ProjectStatus::Active;
                     p.done = state.done;
                     p.starved = state.starved;
                 }
                 ProjectCheckpoint::Completed { outcome, metrics } => {
-                    let p = self.projects[i].as_mut().ok_or_else(|| -> Error {
-                        ServiceError::CorruptCheckpoint(format!(
-                            "project {i} is completed in the checkpoint but rejected here"
-                        ))
-                        .into()
-                    })?;
                     p.status = ProjectStatus::Completed;
                     p.done = true;
                     p.outcome = Some(outcome);
                     p.metrics = Some(metrics);
                 }
                 ProjectCheckpoint::Failed { reason, metrics } => {
-                    let p = self.projects[i].as_mut().ok_or_else(|| -> Error {
-                        ServiceError::CorruptCheckpoint(format!(
-                            "project {i} is failed in the checkpoint but rejected here"
-                        ))
-                        .into()
-                    })?;
                     p.status = ProjectStatus::Failed;
                     p.metrics = Some(metrics);
                     self.errors[i] = Some(ServiceError::ProjectFailed { project: i, reason });

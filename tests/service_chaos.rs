@@ -403,6 +403,62 @@ fn restore_rejects_a_checkpoint_from_a_different_configuration() {
     );
 }
 
+/// Resume a real checkpoint after `damage` edits its first active
+/// project; the run must refuse it as a corrupt checkpoint.
+fn resume_damaged(
+    damage: impl Fn(&mut crowdrl::service::ActiveProjectState),
+) -> crowdrl::types::Error {
+    let mut checkpoint = ServiceCheckpoint::decode(&run_killed(ExecMode::SingleThread, 1)).unwrap();
+    let active = checkpoint
+        .projects
+        .iter_mut()
+        .find_map(|p| match p {
+            crowdrl::service::ProjectCheckpoint::Active(state) => Some(state),
+            _ => None,
+        })
+        .expect("the first cut has an active project");
+    damage(active);
+    let (specs, pool) = scenario(5);
+    let service = Service::new(checkpointed_config(ExecMode::SingleThread)).unwrap();
+    let mut sink = |_cp: ServiceCheckpoint| RunControl::Continue;
+    service
+        .resume(&specs, &pool, &mut seeded(0xBEEF), checkpoint, &mut sink)
+        .unwrap_err()
+}
+
+/// Per-object tables that do not cover the dataset are refused at
+/// restore with a typed error, instead of indexing off their end during
+/// the first merge.
+#[test]
+fn restore_rejects_requeue_and_answer_tables_not_sized_to_the_dataset() {
+    let err = resume_damaged(|state| state.requeues.clear());
+    assert!(
+        err.to_string().contains("corrupt service checkpoint")
+            && err.to_string().contains("requeues"),
+        "wrong error: {err}"
+    );
+    let err = resume_damaged(|state| state.answers = AnswerSet::new(1));
+    assert!(
+        err.to_string().contains("corrupt service checkpoint"),
+        "wrong error: {err}"
+    );
+}
+
+/// A pending delivery whose sampled label was lost is refused at restore
+/// with a typed error, not resumed into a shard panic.
+#[test]
+fn restore_rejects_a_pending_delivery_without_its_label() {
+    let err = resume_damaged(|state| {
+        for shard in &mut state.shards {
+            shard.labels.iter_mut().for_each(|label| *label = None);
+        }
+    });
+    assert!(
+        err.to_string().contains("corrupt checkpoint") && err.to_string().contains("no label"),
+        "wrong error: {err}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Overload protection.
 // ---------------------------------------------------------------------
