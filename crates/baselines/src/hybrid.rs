@@ -222,7 +222,7 @@ impl LabellingStrategy for Hybrid {
             let assignments = agent.select(
                 &dqn_candidates,
                 pool.profiles(),
-                None,
+                None::<&[usize]>,
                 platform.answers(),
                 &labelled,
                 &snapshot,

@@ -171,7 +171,7 @@ fn bench_decide(c: &mut Criterion) -> Vec<(usize, DecideStats)> {
                 agent.select(
                     &f.candidates,
                     &f.profiles,
-                    None,
+                    None::<&[usize]>,
                     &f.answers,
                     &f.labelled,
                     &f.snapshot,
@@ -192,7 +192,7 @@ fn bench_decide(c: &mut Criterion) -> Vec<(usize, DecideStats)> {
                     black_box(agent.select(
                         &f.candidates,
                         &f.profiles,
-                        None,
+                        None::<&[usize]>,
                         &f.answers,
                         &f.labelled,
                         &f.snapshot,

@@ -39,6 +39,27 @@ pub struct Assignment {
     pub embeddings: Vec<Vec<f32>>,
 }
 
+/// Free concurrency slots per annotator, as selection reads them: a dense
+/// table indexed by annotator (what a shared pool's broker snapshots
+/// once per round) or a sparse map in which an absent annotator is
+/// unbounded.
+pub trait FreeSlots {
+    /// Free slots of annotator `a`; `usize::MAX` means unbounded.
+    fn free(&self, a: AnnotatorId) -> usize;
+}
+
+impl FreeSlots for [usize] {
+    fn free(&self, a: AnnotatorId) -> usize {
+        self[a.index()]
+    }
+}
+
+impl FreeSlots for HashMap<AnnotatorId, usize> {
+    fn free(&self, a: AnnotatorId) -> usize {
+        self.get(&a).copied().unwrap_or(usize::MAX)
+    }
+}
+
 /// The RL selection agent: Q-network plus exploration state.
 #[derive(Debug, Clone)]
 pub struct SelectionAgent {
@@ -55,10 +76,10 @@ pub struct SelectionAgent {
 /// and to the batch-wide `picked` counts. The walk stops once the
 /// allowance is below `min_cost`, the cheapest active annotator's cost:
 /// every later candidate would be rejected as unaffordable.
-fn fill_panel(
+fn fill_panel<S: FreeSlots + ?Sized>(
     ranked: impl IntoIterator<Item = usize>,
     active: &[&AnnotatorProfile],
-    slots: Option<&HashMap<AnnotatorId, usize>>,
+    slots: Option<&S>,
     picked: &mut [usize],
     allowance: &mut f64,
     min_cost: f64,
@@ -78,8 +99,7 @@ fn fill_panel(
             continue;
         }
         if let Some(slots) = slots {
-            let free = slots.get(&profile.id).copied().unwrap_or(usize::MAX);
-            if picked[ai] >= free {
+            if picked[ai] >= slots.free(profile.id) {
                 continue; // all concurrency slots spoken for
             }
         }
@@ -139,11 +159,6 @@ impl SelectionAgent {
         &self.dqn
     }
 
-    /// The decide-path configuration in effect.
-    pub fn decide_config(&self) -> DecideConfig {
-        self.decide
-    }
-
     /// Cumulative decide-path counters (monotone; snapshot and
     /// [`DecideStats::delta_since`] to scope them to one call).
     pub fn decide_stats(&self) -> DecideStats {
@@ -198,11 +213,11 @@ impl SelectionAgent {
     /// every object, and a brokered service could grant only a slot's
     /// worth of them. `None` means unbounded, the single-run behaviour.
     #[allow(clippy::too_many_arguments)]
-    pub fn select<R: Rng + ?Sized>(
+    pub fn select<R: Rng + ?Sized, S: FreeSlots + ?Sized>(
         &mut self,
         candidates: &[(ObjectId, Vec<f64>)],
         profiles: &[AnnotatorProfile],
-        slots: Option<&HashMap<AnnotatorId, usize>>,
+        slots: Option<&S>,
         answers: &AnswerSet,
         labelled: &LabelledSet,
         snapshot: &StateSnapshot,
@@ -226,13 +241,7 @@ impl SelectionAgent {
         // picks the fill loop then rejected.)
         let active: Vec<&AnnotatorProfile> = profiles
             .iter()
-            .filter(|p| {
-                let free = match slots {
-                    Some(s) => s.get(&p.id).copied().unwrap_or(usize::MAX),
-                    None => usize::MAX,
-                };
-                p.cost <= iteration_allowance && free > 0
-            })
+            .filter(|p| p.cost <= iteration_allowance && slots.is_none_or(|s| s.free(p.id) > 0))
             .collect();
         self.stats.forwarded_annotators += active.len() as u64;
         self.stats.filtered_annotators += (profiles.len() - active.len()) as u64;
@@ -563,7 +572,7 @@ mod tests {
         let picks = agent.select(
             &candidates(10),
             &profiles,
-            None,
+            None::<&[usize]>,
             &answers,
             &labelled,
             &snapshot(4),
@@ -608,7 +617,7 @@ mod tests {
         let picks = agent.select(
             &candidates(2),
             &profiles,
-            None,
+            None::<&[usize]>,
             &answers,
             &labelled,
             &snapshot(2),
@@ -632,7 +641,7 @@ mod tests {
         let picks = agent.select(
             &candidates(3),
             &profiles,
-            None,
+            None::<&[usize]>,
             &answers,
             &labelled,
             &snapshot(2),
@@ -656,7 +665,7 @@ mod tests {
         let picks = agent.select(
             &candidates(1),
             &profiles,
-            None,
+            None::<&[usize]>,
             &answers,
             &labelled,
             &snapshot(2),
@@ -671,7 +680,7 @@ mod tests {
             .select(
                 &[],
                 &profiles,
-                None,
+                None::<&[usize]>,
                 &answers,
                 &labelled,
                 &snapshot(2),
@@ -699,7 +708,7 @@ mod tests {
             let picks = agent.select(
                 &candidates(4),
                 &profiles,
-                None,
+                None::<&[usize]>,
                 &answers,
                 &labelled,
                 &snapshot(2),
@@ -853,16 +862,16 @@ mod tests {
                 })
                 .unwrap();
             let labelled = LabelledSet::new(12);
-            let mut slots: HashMap<AnnotatorId, usize> = HashMap::new();
-            slots.insert(AnnotatorId(1), 0); // exhausted: must be pre-filtered
-            slots.insert(AnnotatorId(4), 1);
+            let mut slots = vec![usize::MAX; profiles.len()];
+            slots[1] = 0; // exhausted: must be pre-filtered
+            slots[4] = 1;
             for round in 0..4 {
                 let mut rng_a = seeded(seed * 100 + round);
                 let mut rng_b = seeded(seed * 100 + round);
                 let a = pruned.select(
                     &candidates(12),
                     &profiles,
-                    Some(&slots),
+                    Some(&slots[..]),
                     &answers,
                     &labelled,
                     &snapshot(23),
@@ -875,7 +884,7 @@ mod tests {
                 let b = exhaustive.select(
                     &candidates(12),
                     &profiles,
-                    Some(&slots),
+                    Some(&slots[..]),
                     &answers,
                     &labelled,
                     &snapshot(23),
@@ -904,14 +913,14 @@ mod tests {
         let profiles = profiles(4, 1); // worker cost 1, expert cost 10
         let answers = AnswerSet::new(6);
         let labelled = LabelledSet::new(6);
-        let mut slots: HashMap<AnnotatorId, usize> = HashMap::new();
-        slots.insert(AnnotatorId(0), 0);
-        slots.insert(AnnotatorId(1), 2);
+        let mut slots = vec![usize::MAX; profiles.len()];
+        slots[0] = 0;
+        slots[1] = 2;
         let mut rng = seeded(42);
         let picks = agent.select(
             &candidates(6),
             &profiles,
-            Some(&slots),
+            Some(&slots[..]),
             &answers,
             &labelled,
             &snapshot(5),
@@ -1083,7 +1092,7 @@ mod tests {
                     let picks = agent.select(
                         &candidates(10),
                         &profiles,
-                        None,
+                        None::<&[usize]>,
                         &answers,
                         &labelled,
                         &snap,

@@ -356,12 +356,6 @@ impl CrowdRlConfigBuilder {
         self
     }
 
-    /// Set the confidence-reward weight `μ` (0 = the paper's exact reward).
-    pub fn confidence_weight(mut self, mu: f64) -> Self {
-        self.config.mu = mu;
-        self
-    }
-
     /// Set the exploration policy.
     pub fn exploration(mut self, exploration: Exploration) -> Self {
         self.config.exploration = exploration;

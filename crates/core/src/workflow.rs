@@ -208,7 +208,7 @@ impl CrowdRl {
             let assignments = agent.select(
                 &candidates,
                 pool.profiles(),
-                None,
+                None::<&[usize]>,
                 platform.answers(),
                 &labelled,
                 &snapshot,

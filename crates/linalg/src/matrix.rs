@@ -421,14 +421,6 @@ impl Matrix {
         }
     }
 
-    /// [`Matrix::matmul_tn`] under an explicit [`NumericMode`].
-    pub fn matmul_tn_mode(&self, other: &Matrix, mode: NumericMode) -> Matrix {
-        match mode {
-            NumericMode::Reference => self.matmul_tn(other),
-            NumericMode::Fast => simd::matmul_tn_fast(self, other),
-        }
-    }
-
     /// Explicit transpose (used rarely; the `_nt`/`_tn` products avoid it on
     /// hot paths).
     pub fn transpose(&self) -> Matrix {

@@ -340,6 +340,25 @@ where
         .collect()
 }
 
+/// Map `f` over every item, one chunk per item, returning the results
+/// **in item order**. Each item is handed to exactly one chunk, so `f`
+/// may mutate it — the safe fan-out over disjoint mutable state (one
+/// shard advance, one project refresh).
+pub fn map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(&mut T) -> R + Sync,
+{
+    let base = SendPtr(items.as_mut_ptr());
+    map_chunks(items.len(), 1, |range| {
+        // SAFETY: chunk `i` covers exactly `i..i + 1`, and every chunk
+        // index is claimed by one thread, so each item is borrowed
+        // mutably once; `items` is exclusively borrowed for the call.
+        f(unsafe { &mut *base.get().add(range.start) })
+    })
+}
+
 /// Raw-pointer wrapper that asserts cross-thread use is safe because every
 /// chunk writes a disjoint region. Used by [`map_chunks`] and the
 /// row-partitioned matmul kernels.
@@ -408,6 +427,18 @@ mod tests {
             set_threads(threads);
             let partials = map_chunks(10, 3, |r| r.clone());
             assert_eq!(partials, vec![0..3, 3..6, 6..9, 9..10]);
+        }
+        set_threads(0);
+    }
+
+    #[test]
+    fn map_mut_visits_each_item_once_and_returns_in_item_order() {
+        for threads in [1, 3, 8] {
+            set_threads(threads);
+            let mut items: Vec<usize> = (0..11).collect();
+            let before = map_mut(&mut items, |x| std::mem::replace(x, *x + 100));
+            assert_eq!(before, (0..11).collect::<Vec<_>>());
+            assert_eq!(items, (100..111).collect::<Vec<_>>());
         }
         set_threads(0);
     }

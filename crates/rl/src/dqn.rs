@@ -425,12 +425,6 @@ impl DqnAgent {
         Some(l)
     }
 
-    /// Force a target-network sync (e.g. at episode boundaries).
-    pub fn sync_target(&mut self) {
-        self.target.copy_params_from(&self.online);
-        self.target_generation += 1;
-    }
-
     /// Serialize the online network's parameters (for cross-training: train
     /// offline on other datasets, load here — §VI-A.4).
     pub fn export_params(&self) -> Vec<f32> {

@@ -1,12 +1,12 @@
 //! Crash-consistent checkpoints of a whole asynchronous run.
 //!
 //! A [`RunCheckpoint`] captures everything the runtime needs to continue a
-//! run as if it had never stopped: the pump's service state (its shard's
-//! clock, event queue and ledger, the budget account, answers, metrics,
-//! trace) and the agent core's learning state (classifier, DQN, inference
-//! engine, RNG, quarantine). The shard, account and metrics records are
-//! the ones the multi-tenant service checkpoints per project, with the
-//! same field tables ([`record_codec!`]).
+//! run as if it had never stopped: the run itself ([`RunState`]: the agent
+//! core's learning state — classifier, DQN, inference engine, RNG,
+//! quarantine — its shard's clock, event queue and ledger, answers and
+//! metrics) plus the pump's budget account, trace and backoff table.
+//! [`RunState`] is the record the multi-tenant service checkpoints per
+//! active project, with the same field table ([`record_codec!`]).
 //! Killing a run at a checkpoint and [`resuming`](crate::AsyncRuntime::resume)
 //! it must reproduce the uninterrupted run's trace and labels **bit for
 //! bit** — the chaos suite pins that.
@@ -52,10 +52,10 @@ use crowdrl_types::{
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
-/// Format version stamped into every checkpoint. Version 2 builds the
-/// pump state from the shard, account and metrics records the service
-/// checkpoint uses too; version 1 documents are refused.
-const VERSION: usize = 2;
+/// Format version stamped into every checkpoint. Version 3 stores the
+/// run itself — agent core, shards and books — as the [`RunState`]
+/// record the service stores per project; earlier documents are refused.
+const VERSION: usize = 3;
 
 /// One shard frozen between settlements: its event queue, ledger slice,
 /// id/label mappings and merge frontier.
@@ -77,29 +77,44 @@ pub struct ShardState {
     pub frontier: SimTime,
 }
 
-/// The pump's complete service state at a watermark boundary.
+/// One [`Run`](crate::Run) between settlements: the record the pump and
+/// every active service project checkpoint.
 #[derive(Debug, Clone)]
-pub struct PumpCheckpoint {
-    /// The run's one shard: clock, event queue, ledger, sampled labels.
-    pub shard: ShardState,
-    /// The run's budget account (exact spend and reservation bits).
-    pub account: AccountState,
-    /// All recorded answers.
+pub struct RunState {
+    /// The agent core's learning state.
+    pub core: CoreState,
+    /// One snapshot per shard, in shard order.
+    pub shards: Vec<ShardState>,
+    /// All recorded answers, in settlement order.
     pub answers: AnswerSet,
     /// Answers since the last refresh.
     pub answers_since: usize,
+    /// When the last refresh ran.
+    pub last_refresh: SimTime,
     /// Per-object requeue counts.
     pub requeues: Vec<usize>,
     /// Objects whose requeue budget is exhausted, ascending.
     pub abandoned: Vec<ObjectId>,
     /// Raw metrics counters.
     pub collector: MetricsCollector,
+    /// When the run started.
+    pub started_at: SimTime,
+    /// The core reported every object labelled.
+    pub done: bool,
+}
+
+/// The pump's complete state at a watermark boundary: its run plus the
+/// parts only the single-run scheduler keeps.
+#[derive(Debug, Clone)]
+pub struct PumpCheckpoint {
+    /// The run: core, its one shard, the books.
+    pub run: RunState,
+    /// The run's budget account (exact spend and reservation bits).
+    pub account: AccountState,
     /// The observable trace so far.
     pub trace: Vec<TraceEvent>,
     /// Per-object supervisor backoff deadlines (absolute sim time).
     pub backoff_until: Vec<f64>,
-    /// When the last refresh ran.
-    pub last_refresh: SimTime,
 }
 
 /// A complete, resumable snapshot of one asynchronous labelling run.
@@ -112,10 +127,8 @@ pub struct RunCheckpoint {
     pub objects: usize,
     /// Annotator-pool size the run was started with.
     pub annotators: usize,
-    /// The pump's service state.
+    /// The pump's state, its run's learning state included.
     pub pump: PumpCheckpoint,
-    /// The agent core's learning state.
-    pub core: CoreState,
 }
 
 impl RunCheckpoint {
@@ -180,7 +193,6 @@ record_codec! {
         "objects" => objects: num, get_usize;
         "annotators" => annotators: num, get_usize;
         "pump" => pump: enc_pump, get_record(dec_pump);
-        "core" => core: enc_core, get_record(dec_core);
     }
 }
 
@@ -198,21 +210,30 @@ record_codec! {
 
 record_codec! {
     PumpCheckpoint: enc_pump / dec_pump {
-        "shard" => shard: enc_shard, get_record(dec_shard);
+        "run" => run: enc_run_state, get_record(dec_run_state);
         "account" => account: enc_account, get_record(dec_account);
-        "answers" => answers: enc_answers, dec_answers;
-        "answers_since" => answers_since: num, get_usize;
-        "requeues" => requeues: usizes, arr_usize;
-        "abandoned" => abandoned: object_ids, get_object_ids;
-        "collector" => collector: enc_collector, get_record(dec_collector);
         "trace" => trace: list(enc_trace_event), get_list(dec_trace_event);
         "backoff_until" => backoff_until: f64s, get_f64s;
-        "last_refresh" => last_refresh: sim_time, get_sim_time;
     }
 }
 
 record_codec! {
-    pub ShardState: enc_shard / dec_shard {
+    pub RunState: enc_run_state / dec_run_state {
+        "core" => core: enc_core, get_record(dec_core);
+        "shards" => shards: list(enc_shard), get_list(dec_shard);
+        "answers" => answers: enc_answers, dec_answers;
+        "answers_since" => answers_since: num, get_usize;
+        "last_refresh" => last_refresh: sim_time, get_sim_time;
+        "requeues" => requeues: usizes, arr_usize;
+        "abandoned" => abandoned: object_ids, get_object_ids;
+        "collector" => collector: enc_collector, get_record(dec_collector);
+        "started_at" => started_at: sim_time, get_sim_time;
+        "done" => done: boolean, get_bool;
+    }
+}
+
+record_codec! {
+    ShardState: enc_shard / dec_shard {
         "now" => now: sim_time, get_sim_time;
         "next_seq" => next_seq: hex_u64, get_hex_u64;
         "events" => events: list(enc_event), get_list(dec_event);
@@ -233,7 +254,7 @@ record_codec! {
 }
 
 record_codec! {
-    pub MetricsCollector: enc_collector / dec_collector {
+    MetricsCollector: enc_collector / dec_collector {
         "latencies" => latencies: f64s, get_f64s;
         "dispatched" => dispatched: num, get_usize;
         "delivered" => delivered: num, get_usize;
@@ -335,7 +356,7 @@ record_codec! {
 }
 
 record_codec! {
-    pub CoreState: enc_core / dec_core {
+    CoreState: enc_core / dec_core {
         "classifier" => classifier: enc_classifier, get_record(dec_classifier);
         "agent" => agent: enc_agent, get_record(dec_agent);
         "labelled" => labelled: list(enc_label_state), get_list(dec_label_state);
@@ -624,12 +645,12 @@ fn get_annotator_id(v: &Value, key: &str) -> Result<AnnotatorId> {
 }
 
 /// Object ids as an array of plain JSON numbers.
-pub fn object_ids(xs: &[ObjectId]) -> Value {
+fn object_ids(xs: &[ObjectId]) -> Value {
     Value::Arr(xs.iter().map(object_id).collect())
 }
 
 /// Decode an array-of-object-ids field.
-pub fn get_object_ids(v: &Value, key: &str) -> Result<Vec<ObjectId>> {
+fn get_object_ids(v: &Value, key: &str) -> Result<Vec<ObjectId>> {
     Ok(arr_usize(v, key)?.into_iter().map(ObjectId).collect())
 }
 
@@ -989,7 +1010,7 @@ pub fn dec_trace_event(v: &Value) -> Result<TraceEvent> {
 }
 
 /// Encode an answer set as per-object (annotator, class) pairs.
-pub fn enc_answers(answers: &AnswerSet) -> Value {
+fn enc_answers(answers: &AnswerSet) -> Value {
     Value::Arr(
         (0..answers.num_objects())
             .map(|i| {
@@ -1006,7 +1027,7 @@ pub fn enc_answers(answers: &AnswerSet) -> Value {
 }
 
 /// Decode an answer set field.
-pub fn dec_answers(v: &Value, key: &str) -> Result<AnswerSet> {
+fn dec_answers(v: &Value, key: &str) -> Result<AnswerSet> {
     let rows = get_arr(v, key)?;
     let mut answers = AnswerSet::new(rows.len());
     for (i, row) in rows.iter().enumerate() {
@@ -1120,75 +1141,6 @@ mod tests {
                 label: ClassId(0),
             })
             .unwrap();
-        let pump = PumpCheckpoint {
-            shard: ShardState {
-                now: t(4.5),
-                next_seq: 7,
-                events: vec![
-                    Event {
-                        at: t(5.0),
-                        seq: 3,
-                        kind: EventKind::Deliver(AssignmentId(1)),
-                    },
-                    Event {
-                        at: t(6.0),
-                        seq: 5,
-                        kind: EventKind::Expire(AssignmentId(1)),
-                    },
-                ],
-                records: vec![AssignmentRecord {
-                    id: AssignmentId(0),
-                    object: ObjectId(0),
-                    annotator: AnnotatorId(1),
-                    cost: 1.25,
-                    dispatched_at: t(0.0),
-                    deadline: t(8.0),
-                    status: AssignmentStatus::Delivered,
-                }],
-                uids: vec![0, 1],
-                labels: vec![Some(ClassId(1)), None],
-                frontier: SimTime::ZERO,
-            },
-            account: AccountState {
-                total: 100.0,
-                spent: 0.1 + 0.2, // deliberately not 0.3 exactly
-                charges: 2,
-                reserved: 1.25,
-            },
-            answers,
-            answers_since: 1,
-            requeues: vec![0, 2, 0],
-            abandoned: vec![ObjectId(1)],
-            collector: MetricsCollector {
-                latencies: vec![1.5, f64::MIN_POSITIVE],
-                dispatched: 4,
-                delivered: 2,
-                rejected: 1,
-                timeouts: 1,
-                requeues: 1,
-                refreshes: 2,
-                events: 9,
-            },
-            trace: vec![
-                TraceEvent::Dispatched {
-                    at: t(0.0),
-                    id: AssignmentId(0),
-                    object: ObjectId(0),
-                    annotator: AnnotatorId(1),
-                },
-                TraceEvent::Refreshed {
-                    at: t(4.0),
-                    answers: 2,
-                    labelled: 1,
-                },
-                TraceEvent::Quarantined {
-                    at: t(4.0),
-                    annotator: AnnotatorId(2),
-                },
-            ],
-            backoff_until: vec![0.0, 9.5, 0.0],
-            last_refresh: t(4.0),
-        };
         let core = CoreState {
             classifier: ClassifierSnapshot {
                 params: vec![0.5, -1.25, f32::EPSILON],
@@ -1275,12 +1227,85 @@ mod tests {
                 },
             ],
         };
+        let pump = PumpCheckpoint {
+            run: RunState {
+                core,
+                shards: vec![ShardState {
+                    now: t(4.5),
+                    next_seq: 7,
+                    events: vec![
+                        Event {
+                            at: t(5.0),
+                            seq: 3,
+                            kind: EventKind::Deliver(AssignmentId(1)),
+                        },
+                        Event {
+                            at: t(6.0),
+                            seq: 5,
+                            kind: EventKind::Expire(AssignmentId(1)),
+                        },
+                    ],
+                    records: vec![AssignmentRecord {
+                        id: AssignmentId(0),
+                        object: ObjectId(0),
+                        annotator: AnnotatorId(1),
+                        cost: 1.25,
+                        dispatched_at: t(0.0),
+                        deadline: t(8.0),
+                        status: AssignmentStatus::Delivered,
+                    }],
+                    uids: vec![0, 1],
+                    labels: vec![Some(ClassId(1)), None],
+                    frontier: SimTime::ZERO,
+                }],
+                answers,
+                answers_since: 1,
+                last_refresh: t(4.0),
+                requeues: vec![0, 2, 0],
+                abandoned: vec![ObjectId(1)],
+                collector: MetricsCollector {
+                    latencies: vec![1.5, f64::MIN_POSITIVE],
+                    dispatched: 4,
+                    delivered: 2,
+                    rejected: 1,
+                    timeouts: 1,
+                    requeues: 1,
+                    refreshes: 2,
+                    events: 9,
+                },
+                started_at: SimTime::ZERO,
+                done: false,
+            },
+            account: AccountState {
+                total: 100.0,
+                spent: 0.1 + 0.2, // deliberately not 0.3 exactly
+                charges: 2,
+                reserved: 1.25,
+            },
+            trace: vec![
+                TraceEvent::Dispatched {
+                    at: t(0.0),
+                    id: AssignmentId(0),
+                    object: ObjectId(0),
+                    annotator: AnnotatorId(1),
+                },
+                TraceEvent::Refreshed {
+                    at: t(4.0),
+                    answers: 2,
+                    labelled: 1,
+                },
+                TraceEvent::Quarantined {
+                    at: t(4.0),
+                    annotator: AnnotatorId(2),
+                },
+            ],
+            backoff_until: vec![0.0, 9.5, 0.0],
+        };
         RunCheckpoint {
             fingerprint: 0x1234_5678_9ABC_DEF0,
             objects: 3,
             annotators: 3,
             pump,
-            core,
         }
     }
 
@@ -1298,12 +1323,12 @@ mod tests {
             ck.pump.account.spent.to_bits()
         );
         assert_eq!(back.pump.trace, ck.pump.trace);
-        assert_eq!(back.core.rng, ck.core.rng);
-        let engine = back.core.engine.unwrap();
+        assert_eq!(back.pump.run.core.rng, ck.pump.run.core.rng);
+        let engine = back.pump.run.core.engine.unwrap();
         assert!(engine.last.log_likelihood.is_nan());
         assert_eq!(
             engine.last.posteriors,
-            ck.core.engine.as_ref().unwrap().last.posteriors
+            ck.pump.run.core.engine.as_ref().unwrap().last.posteriors
         );
     }
 
@@ -1320,7 +1345,7 @@ mod tests {
         // pair; this pins the wire format itself (key names, value
         // encodings), so a renamed or re-encoded field fails here.
         let text = sample_checkpoint().encode();
-        assert_eq!(fnv1a(text.as_bytes()), 0x012a_f1fa_bb77_4f25);
+        assert_eq!(fnv1a(text.as_bytes()), 0xa4c5_2adb_045e_e4d0);
     }
 
     #[test]
@@ -1329,14 +1354,14 @@ mod tests {
         let text = ck.encode();
         assert!(RunCheckpoint::decode("not json").is_err());
         assert!(RunCheckpoint::decode("{}").is_err());
-        let wrong_version = text.replacen("\"version\":2", "\"version\":99", 1);
+        let wrong_version = text.replacen("\"version\":3", "\"version\":99", 1);
         assert!(RunCheckpoint::decode(&wrong_version).is_err());
-        // A version-1 document (the pre-shard pump layout) is refused
-        // with the typed version error, not misread.
-        let v1 = text.replacen("\"version\":2", "\"version\":1", 1);
+        // A version-2 document (the pump layout before the shared run
+        // record) is refused with the typed version error, not misread.
+        let v2 = text.replacen("\"version\":3", "\"version\":2", 1);
         assert_eq!(
-            RunCheckpoint::decode(&v1).unwrap_err(),
-            ServeError::CorruptCheckpoint("unsupported checkpoint version 1 (expected 2)".into())
+            RunCheckpoint::decode(&v2).unwrap_err(),
+            ServeError::CorruptCheckpoint("unsupported checkpoint version 2 (expected 3)".into())
                 .into()
         );
         // Truncating a hex blob breaks the fixed-width invariant.

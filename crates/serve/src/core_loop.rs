@@ -81,11 +81,11 @@ pub struct RefreshRequest {
     /// abandoned after exhausting their requeue allowance.
     pub blocked: HashSet<ObjectId>,
     /// Free concurrency slots per annotator at refresh time (shared
-    /// pool brokering). Selection filters out exhausted annotators the
-    /// way it filters quarantined ones, and caps how many times one
-    /// annotator is reused within a single reply. `None` means
-    /// concurrency is unbounded (the single-run pump).
-    pub slots: Option<HashMap<AnnotatorId, usize>>,
+    /// pool brokering), indexed by annotator. Selection filters out
+    /// exhausted annotators the way it filters quarantined ones, and caps
+    /// how many times one annotator is reused within a single reply.
+    /// `None` means concurrency is unbounded (the single-run pump).
+    pub slots: Option<Arc<[usize]>>,
     /// The simulated clock at the refresh.
     pub now: SimTime,
     /// Answers delivered since the previous refresh.
@@ -756,10 +756,8 @@ impl<'a> AgentCore<'a> {
         // when every breaker is closed and every slot free the original
         // slice is used and the run is bit-identical.
         let all_profiles = self.pool.profiles();
-        let free = |id: AnnotatorId| match &req.slots {
-            Some(slots) => slots.get(&id).copied().unwrap_or(usize::MAX) > 0,
-            None => true,
-        };
+        let slots = req.slots.as_deref();
+        let free = |id: AnnotatorId| slots.is_none_or(|s| s[id.index()] > 0);
         let active_profiles: Vec<AnnotatorProfile> = all_profiles
             .iter()
             .filter(|p| !self.quarantine.is_quarantined(p.id.index()) && free(p.id))
@@ -774,7 +772,7 @@ impl<'a> AgentCore<'a> {
         let assignments = self.agent.select(
             &candidates,
             profiles,
-            req.slots.as_ref(),
+            slots,
             &req.answers,
             &self.labelled,
             &snapshot,

@@ -17,9 +17,12 @@
 //!   charge exactly once;
 //! * the **shard** ([`shard`]): one event queue plus one ledger slice,
 //!   and [`RunBook::apply`](shard::RunBook::apply), the one function
-//!   that books a settlement. The single-run pump ([`runtime`]) runs
-//!   one shard; the multi-tenant `crowdrl-service` runs several per
-//!   project, on the same code;
+//!   that books a settlement;
+//! * the **run** ([`run`]): one labelling campaign — agent core, shards,
+//!   books — with one open path, one refresh step and one checkpoint
+//!   record. The single-run pump ([`runtime`]) is a [`Run`] on one
+//!   shard; the multi-tenant `crowdrl-service` keeps one per project,
+//!   on several shards;
 //! * **incremental answer ingestion** that refreshes truth inference on
 //!   watermarks — every *k* delivered answers or *t* simulated time
 //!   units ([`config`], [`runtime`]);
@@ -67,12 +70,13 @@ pub mod error;
 pub mod event;
 pub mod ledger;
 pub mod metrics;
+pub mod run;
 pub mod runtime;
 pub mod sampler;
 pub mod shard;
 pub mod supervisor;
 
-pub use checkpoint::{PumpCheckpoint, RunCheckpoint, ShardState};
+pub use checkpoint::{PumpCheckpoint, RunCheckpoint, RunState, ShardState};
 pub use clock::EventQueue;
 pub use config::{ExecMode, ServeConfig};
 pub use error::ServeError;
@@ -82,6 +86,7 @@ pub use ledger::{
     Expiry,
 };
 pub use metrics::{MetricsCollector, ServiceMetrics};
+pub use run::Run;
 pub use runtime::{AsyncOutcome, AsyncRuntime, CheckpointSink, RunControl, RunOutcome};
 pub use shard::{RunBook, Shard, ShardBatch, ShardEvent};
 pub use supervisor::{

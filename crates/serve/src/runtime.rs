@@ -1,20 +1,25 @@
 //! The single-run event pump.
 //!
-//! The pump is the service's settlement machinery cut down to one run:
-//! one [`Shard`] (event queue and ledger), one [`AccountBook`] account
-//! and one [`RunBook`] — the parts the multi-tenant service keeps per
-//! project — settled one event at a time. It moves events, enforces
-//! timeouts and exactly-once charging, and calls the [`AgentCore`] for
-//! every decision and [`sample_outcome`] for annotator behaviour. Every
-//! settlement is booked by [`RunBook::apply`], the function the
-//! service's merge books with too.
+//! The pump is one [`Run`] — the per-run type a multi-tenant service
+//! project is built on too — on one shard, next to one [`AccountBook`]
+//! account, the fault injector, the supervisor backoff and the trace. It
+//! settles one event at a time: it moves events, enforces timeouts and
+//! exactly-once charging, and calls the run's [`AgentCore`] for every
+//! decision and [`sample_outcome`] for annotator behaviour. Every
+//! settlement is booked by [`RunBook::apply`], every refresh runs
+//! [`Run::refresh`] and every assignment opens through [`Run::open`] —
+//! the functions the service uses too.
 //!
-//! The pump keeps its own loop for two things. It checks the refresh
-//! watermarks after *every* event, where the service settles everything
-//! up to a round horizon before it refreshes; the two orders differ when
-//! events share an instant, which is common (every assignment one
-//! refresh dispatches gets the same deadline). And it applies the
-//! supervisor's retry backoff.
+//! The pump keeps its own loop. It checks the refresh watermarks after
+//! *every* event, at its shard clock, where the service settles
+//! everything up to a round horizon before it refreshes; the two orders
+//! differ when events share an instant, which is common (every
+//! assignment one refresh dispatches gets the same deadline). When its
+//! queue drains it forces a refresh, and it counts checkpoints per
+//! refresh rather than per round.
+//!
+//! [`AgentCore`]: crate::core_loop::AgentCore
+//! [`RunBook::apply`]: crate::RunBook::apply
 //!
 //! [`ExecMode`](crate::ExecMode) caps the shared thread pool for the run
 //! ([`ExecMode::capped`](crate::ExecMode::capped)); the pump is one
@@ -30,13 +35,13 @@
 
 use crate::checkpoint::{PumpCheckpoint, RunCheckpoint};
 use crate::config::ServeConfig;
-use crate::core_loop::AgentCore;
 use crate::error::ServeError;
 use crate::event::TraceEvent;
 use crate::ledger::AccountBook;
 use crate::metrics::ServiceMetrics;
+use crate::run::Run;
 use crate::sampler::{sample_outcome, SampleJob};
-use crate::shard::{RunBook, Shard, ShardEvent};
+use crate::shard::ShardEvent;
 use crowdrl_core::{CrowdRlConfig, LabellingOutcome};
 use crowdrl_obs as obs;
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool, FaultInjector, FaultRecord};
@@ -77,19 +82,6 @@ pub enum RunOutcome {
 /// Receives each checkpoint and decides whether the run continues.
 pub type CheckpointSink<'s> = &'s mut dyn FnMut(RunCheckpoint) -> RunControl;
 
-/// Build the fault injector a config calls for (None when the plan is a
-/// no-op, so the fault-free fast path stays branch-cheap).
-fn build_injector(serve: &ServeConfig, dataset: &Dataset) -> Result<Option<FaultInjector>> {
-    if serve.faults.is_noop() {
-        Ok(None)
-    } else {
-        Ok(Some(FaultInjector::new(
-            serve.faults.clone(),
-            dataset.num_classes(),
-        )?))
-    }
-}
-
 /// Bump the `fault.injected.*` trace counters for one injected outcome.
 fn count_faults(faults: &FaultRecord) {
     let hits = [
@@ -110,7 +102,8 @@ fn count_faults(faults: &FaultRecord) {
 /// The pump's one budget account.
 const ACCOUNT: usize = 0;
 
-/// A run in progress: the agent core plus the settlement state around it.
+/// A run in progress: one [`Run`] on one shard, plus the parts only the
+/// single-run scheduler keeps.
 struct Pump<'a> {
     dataset: &'a Dataset,
     pool: &'a AnnotatorPool,
@@ -118,118 +111,45 @@ struct Pump<'a> {
     dynamics: &'a [AnnotatorDynamics],
     /// Config fingerprint stamped into every checkpoint.
     fingerprint: u64,
-    core: AgentCore<'a>,
+    /// The run on its one shard. Shard-local ids are the trace ids and
+    /// the sampling-stream indices.
+    run: Run<'a>,
+    /// `None` when the fault plan is a no-op, so the fault-free path
+    /// stays branch-cheap.
     injector: Option<FaultInjector>,
-    /// Event queue and ledger. Its shard-local ids are the trace ids
-    /// and the sampling-stream indices.
-    shard: Shard,
     /// One account: the run's budget and its reservations.
     accounts: AccountBook,
-    book: RunBook,
     trace: Vec<TraceEvent>,
     /// Per-object supervisor backoff deadline (absolute sim time); an
     /// object is withheld from refreshes until its deadline passes.
     backoff_until: Vec<f64>,
     /// Refreshes since the last checkpoint was cut.
     refreshes_since_ckpt: usize,
-    done: bool,
 }
 
-impl<'a> Pump<'a> {
-    fn new(
-        dataset: &'a Dataset,
-        pool: &'a AnnotatorPool,
-        serve: &'a ServeConfig,
-        dynamics: &'a [AnnotatorDynamics],
-        fingerprint: u64,
-        core: AgentCore<'a>,
-        budget: f64,
-    ) -> Result<Self> {
-        let mut accounts = AccountBook::new();
-        accounts.open(budget)?;
-        Ok(Self {
-            dataset,
-            pool,
-            serve,
-            dynamics,
-            fingerprint,
-            core,
-            injector: build_injector(serve, dataset)?,
-            shard: Shard::new(SimTime::ZERO),
-            accounts,
-            book: RunBook::new(dataset.len()),
-            trace: Vec::new(),
-            backoff_until: vec![0.0; dataset.len()],
-            refreshes_since_ckpt: 0,
-            done: false,
-        })
-    }
-
-    /// Overwrite this fresh pump's settlement state with a checkpoint's.
-    /// The pair claims are re-derived from the ledger and every table is
-    /// checked against the dataset; everything order-dependent (the
-    /// account's float sums, event sequence numbers) is restored
-    /// bit-exactly.
-    fn restore(&mut self, state: PumpCheckpoint) -> Result<()> {
-        let objects = self.dataset.len();
-        if state.backoff_until.len() != objects {
-            return Err(ServeError::CorruptCheckpoint(format!(
-                "backoff table sized for {} objects, dataset has {objects}",
-                state.backoff_until.len(),
-            ))
-            .into());
-        }
-        self.book = RunBook::restore(
-            objects,
-            state.answers,
-            state.answers_since,
-            state.last_refresh,
-            state.requeues,
-            state.abandoned,
-            state.collector,
-        )
-        .map_err(ServeError::CorruptCheckpoint)?;
-        self.shard = Shard::restore(state.shard)?;
-        self.accounts = AccountBook::restore(&[state.account])?;
-        self.trace = state.trace;
-        self.backoff_until = state.backoff_until;
-        Ok(())
-    }
-
-    /// Snapshot the pump's complete service state.
-    fn export_state(&self) -> PumpCheckpoint {
-        PumpCheckpoint {
-            shard: self.shard.export(),
-            account: self.accounts.export()[ACCOUNT],
-            answers: (*self.book.answers).clone(),
-            answers_since: self.book.answers_since,
-            requeues: self.book.requeues.clone(),
-            abandoned: self.book.abandoned_sorted(),
-            collector: self.book.collector.clone(),
-            trace: self.trace.clone(),
-            backoff_until: self.backoff_until.clone(),
-            last_refresh: self.book.last_refresh,
-        }
+impl Pump<'_> {
+    /// The shard clock, which orders the pump's settlements and refreshes.
+    fn now(&self) -> SimTime {
+        self.run.shards[0].now()
     }
 
     /// Dispatch panels: per admissible assignment, reserve its cost,
     /// sample (and fault-inject) the crowd's response, and open it on
-    /// the shard, which schedules its delivery and timeout. Returns how
-    /// many assignments went out.
+    /// the run. Returns how many assignments went out.
     fn dispatch(&mut self, panels: &[(ObjectId, Vec<AnnotatorId>)]) -> Result<usize> {
-        let now = self.shard.now();
+        let now = self.now();
         let deadline = now + SimTime::new(self.serve.timeout)?;
         let mut dispatched = 0;
         for (object, annotators) in panels {
             for &annotator in annotators {
                 let cost = self.pool.profile(annotator).cost;
-                if self.shard.pair_claimed(*object, annotator)
+                if self.run.pair_claimed(*object, annotator)
                     || !self.accounts.can_reserve(ACCOUNT, cost)
                 {
                     continue;
                 }
                 self.accounts.reserve(ACCOUNT, cost)?;
-                let id = AssignmentId(self.shard.opened() as u64);
+                let id = AssignmentId(self.run.shards[0].opened() as u64);
                 let job = SampleJob {
                     id,
                     object: *object,
@@ -247,7 +167,7 @@ impl<'a> Pump<'a> {
                     }
                     None => (sampled, None),
                 };
-                self.shard.open(
+                let opened = self.run.open(
                     *object,
                     annotator,
                     cost,
@@ -257,24 +177,17 @@ impl<'a> Pump<'a> {
                     response,
                     duplicate_at,
                 )?;
-                self.trace.push(TraceEvent::Dispatched {
-                    at: now,
-                    id,
-                    object: *object,
-                    annotator,
-                });
+                self.trace.push(opened);
                 dispatched += 1;
             }
         }
-        self.book.collector.dispatched += dispatched;
         Ok(dispatched)
     }
 
-    /// Run a refresh, dispatch its panels, and train.
+    /// Run a refresh step and dispatch its panels.
     fn refresh(&mut self) -> Result<usize> {
-        let now = self.shard.now();
-        let mut blocked = self.shard.objects_in_flight();
-        blocked.extend(self.book.abandoned.iter().copied());
+        let now = self.now();
+        let mut blocked = self.run.blocked();
         if self.serve.supervisor.backoff_base > 0.0 {
             let now_f = now.as_f64();
             blocked.extend(
@@ -289,34 +202,30 @@ impl<'a> Pump<'a> {
         // next settlement's `Arc::make_mut` stays in place. The
         // single-run pump places no per-annotator concurrency caps —
         // slot accounting is a shared-pool concern.
-        let reply = self.core.refresh(&self.book.refresh_request(
+        let reply = self.run.refresh(&self.run.book.refresh_request(
             &self.accounts,
             ACCOUNT,
             blocked,
             None,
             now,
         ))?;
-        self.trace.extend(self.book.refreshed(now, &reply));
-        let dispatched = self.dispatch(&reply.panels)?;
-        self.core.train();
-        if reply.done {
-            self.done = true;
-        }
-        Ok(dispatched)
+        self.trace.extend(self.run.book.refreshed(now, &reply));
+        self.dispatch(&reply.panels)
     }
 
     /// Book one settlement; a requeued timeout also starts the object's
     /// supervisor backoff.
     fn settle(&mut self, event: ShardEvent) -> Result<()> {
         let traced =
-            self.book
+            self.run
+                .book
                 .apply(event, &mut self.accounts, ACCOUNT, self.serve.max_requeues)?;
         if let (ShardEvent::Expired { object, at, .. }, TraceEvent::Expired { requeued, .. }) =
             (event, &traced)
         {
             if *requeued {
                 obs::counter_add("retry.count", 1);
-                let retries = self.book.requeues[object.index()];
+                let retries = self.run.book.requeues[object.index()];
                 let delay = self.serve.supervisor.backoff_delay(retries);
                 if delay > 0.0 {
                     self.backoff_until[object.index()] = at.as_f64() + delay;
@@ -343,8 +252,12 @@ impl<'a> Pump<'a> {
             fingerprint: self.fingerprint,
             objects: self.dataset.len(),
             annotators: self.pool.len(),
-            pump: self.export_state(),
-            core: self.core.export_state(),
+            pump: PumpCheckpoint {
+                run: self.run.export(),
+                account: self.accounts.export()[ACCOUNT],
+                trace: self.trace.clone(),
+                backoff_until: self.backoff_until.clone(),
+            },
         };
         obs::counter_add("checkpoint.write", 1);
         obs::gauge(
@@ -363,15 +276,15 @@ impl<'a> Pump<'a> {
     fn run(mut self, sink: CheckpointSink<'_>) -> Result<RunOutcome> {
         let wall_start = Instant::now();
         'outer: loop {
-            while !self.shard.is_idle() {
-                self.book.collector.events += 1;
-                if let Some(event) = self.shard.step()? {
+            while !self.run.is_idle() {
+                self.run.book.collector.events += 1;
+                if let Some(event) = self.run.shards[0].step()? {
                     self.settle(event)?;
                 }
                 let (answers, time) = (self.serve.answer_watermark, self.serve.time_watermark);
-                if self.book.watermark_due(self.shard.now(), answers, time) {
+                if self.run.book.watermark_due(self.now(), answers, time) {
                     self.refresh()?;
-                    if self.done {
+                    if self.run.done {
                         break 'outer;
                     }
                     if self.maybe_checkpoint(sink) {
@@ -380,19 +293,20 @@ impl<'a> Pump<'a> {
                 }
             }
             let dispatched = self.refresh()?;
-            if self.done || dispatched == 0 {
+            if self.run.done || dispatched == 0 {
                 break;
             }
             if self.maybe_checkpoint(sink) {
                 return Ok(RunOutcome::Halted);
             }
         }
-        let spent = self.accounts.spent(ACCOUNT);
-        let outcome = self.core.finalize(&self.book.answers, spent)?;
+        let (now, spent) = (self.now(), self.accounts.spent(ACCOUNT));
+        let outcome = self.run.core.finalize(&self.run.book.answers, spent)?;
         let metrics =
-            self.book
+            self.run
+                .book
                 .collector
-                .finish(self.shard.now(), wall_start.elapsed().as_secs_f64(), spent);
+                .finish(now, wall_start.elapsed().as_secs_f64(), spent);
         Ok(RunOutcome::Completed(Box::new(AsyncOutcome {
             outcome,
             metrics,
@@ -498,17 +412,17 @@ impl AsyncRuntime {
         let serve = &self.serve;
         let result = serve.mode.capped(|| -> Result<RunOutcome> {
             let restore_start = Instant::now();
-            let (core, resume) = match checkpoint {
-                None => (
-                    AgentCore::new(
-                        self.config.clone(),
-                        dataset,
-                        pool,
-                        core_seed,
-                        serve.quarantine.clone(),
-                    )?,
-                    None,
-                ),
+            let config = self.config.clone();
+            let quarantine = serve.quarantine.clone();
+            let resumed = checkpoint.is_some();
+            let (run, accounts, trace, backoff_until) = match checkpoint {
+                None => {
+                    let mut run = Run::new(config, dataset, pool, core_seed, quarantine)?;
+                    run.start(SimTime::ZERO, 1);
+                    let mut accounts = AccountBook::new();
+                    accounts.open(self.config.budget)?;
+                    (run, accounts, Vec::new(), vec![0.0; dataset.len()])
+                }
                 Some(ckpt) => {
                     if ckpt.fingerprint != fingerprint {
                         return Err(ServeError::ConfigMismatch {
@@ -517,51 +431,60 @@ impl AsyncRuntime {
                         }
                         .into());
                     }
-                    if ckpt.objects != dataset.len() || ckpt.annotators != pool.len() {
+                    let PumpCheckpoint {
+                        run,
+                        account,
+                        trace,
+                        backoff_until,
+                    } = ckpt.pump;
+                    if ckpt.objects != dataset.len()
+                        || ckpt.annotators != pool.len()
+                        || run.shards.len() != 1
+                        || backoff_until.len() != dataset.len()
+                    {
                         return Err(ServeError::CorruptCheckpoint(format!(
-                            "checkpoint is for {} objects / {} annotators, run has {} / {}",
+                            "checkpoint is for {} objects / {} annotators on {} shards with \
+                             {} backoff deadlines; the pump runs {} / {} on one shard",
                             ckpt.objects,
                             ckpt.annotators,
+                            run.shards.len(),
+                            backoff_until.len(),
                             dataset.len(),
                             pool.len()
                         ))
                         .into());
                     }
-                    let core = AgentCore::restore(
-                        self.config.clone(),
-                        dataset,
-                        pool,
-                        serve.quarantine.clone(),
-                        ckpt.core,
-                    )?;
-                    (core, Some(ckpt.pump))
+                    let run = Run::restore(config, dataset, pool, quarantine, run)?;
+                    (run, AccountBook::restore(&[account])?, trace, backoff_until)
                 }
             };
-            let mut pump = Pump::new(
+            let mut pump = Pump {
                 dataset,
                 pool,
                 serve,
-                &dynamics,
+                dynamics: &dynamics,
                 fingerprint,
-                core,
-                self.config.budget,
-            )?;
-            match resume {
-                // A fresh run dispatches its initial panels at t = 0.
-                None => {
-                    let initial = pump.core.initial_panels();
-                    pump.dispatch(&initial)?;
-                }
+                run,
+                injector: (!serve.faults.is_noop())
+                    .then(|| FaultInjector::new(serve.faults.clone(), dataset.num_classes()))
+                    .transpose()?,
+                accounts,
+                trace,
+                backoff_until,
+                refreshes_since_ckpt: 0,
+            };
+            if resumed {
                 // A restored run re-enters the loop directly: the initial
                 // panels were dispatched before the checkpoint.
-                Some(state) => {
-                    pump.restore(state)?;
-                    obs::counter_add("checkpoint.restore", 1);
-                    obs::gauge(
-                        "checkpoint.restore_ns",
-                        restore_start.elapsed().as_nanos() as f64,
-                    );
-                }
+                obs::counter_add("checkpoint.restore", 1);
+                obs::gauge(
+                    "checkpoint.restore_ns",
+                    restore_start.elapsed().as_nanos() as f64,
+                );
+            } else {
+                // A fresh run dispatches its initial panels at t = 0.
+                let initial = pump.run.core.initial_panels();
+                pump.dispatch(&initial)?;
             }
             pump.run(sink)
         });

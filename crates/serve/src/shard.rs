@@ -1,9 +1,10 @@
 //! One event-loop partition — a private event queue plus a private
 //! ledger slice — and the one function that books what it settles.
 //!
-//! The single-run pump ([`AsyncRuntime`](crate::AsyncRuntime)) runs one
-//! shard and settles it an event at a time ([`Shard::step`]). The
-//! multi-tenant service shards each project's objects `object mod P`,
+//! A [`Run`](crate::Run) owns its shards. The single-run pump
+//! ([`AsyncRuntime`](crate::AsyncRuntime)) runs on one shard and settles
+//! it an event at a time ([`Shard::step`]). The multi-tenant service
+//! shards each project's objects `object mod P`,
 //! so every shard owns a disjoint set of objects, its own
 //! [`EventQueue`] and its own [`AssignmentLedger`] (with shard-local
 //! assignment ids). That disjointness is the service's parallelism
@@ -30,7 +31,7 @@ use crate::metrics::MetricsCollector;
 use crowdrl_types::{
     AnnotatorId, Answer, AnswerSet, AssignmentId, ClassId, ObjectId, Result, SimTime,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A settlement one shard produced, in event order. `uid` is the id the
@@ -367,9 +368,10 @@ impl Shard {
 
 /// What settled assignments leave behind in one labelling run — the
 /// answers, the per-object requeue tallies, the metrics counters — and
-/// the refresh watermark they feed. The pump keeps one; the service
-/// keeps one per project; both book settlements ([`apply`](Self::apply))
-/// and refreshes ([`refreshed`](Self::refreshed)) through it.
+/// the refresh watermark they feed. Every [`Run`](crate::Run) keeps one;
+/// the pump and the service both book settlements
+/// ([`apply`](Self::apply)) and refreshes ([`refreshed`](Self::refreshed))
+/// through it.
 #[derive(Debug)]
 pub struct RunBook {
     /// Every accepted answer, in settlement order. Shared with the agent
@@ -401,36 +403,6 @@ impl RunBook {
         }
     }
 
-    /// Rebuild the books from a checkpoint of a run over `objects`
-    /// objects. The per-object tables must be sized to the dataset; the
-    /// error names the mismatch, for the caller to wrap in its own
-    /// corrupt-checkpoint error.
-    pub fn restore(
-        objects: usize,
-        answers: AnswerSet,
-        answers_since: usize,
-        last_refresh: SimTime,
-        requeues: Vec<usize>,
-        abandoned: Vec<ObjectId>,
-        collector: MetricsCollector,
-    ) -> std::result::Result<Self, String> {
-        if answers.num_objects() != objects || requeues.len() != objects {
-            return Err(format!(
-                "answers sized for {} objects and requeues for {}, dataset has {objects}",
-                answers.num_objects(),
-                requeues.len()
-            ));
-        }
-        Ok(Self {
-            answers: Arc::new(answers),
-            answers_since,
-            last_refresh,
-            requeues,
-            abandoned: abandoned.into_iter().collect(),
-            collector,
-        })
-    }
-
     /// The abandoned objects in ascending order (the checkpoint form).
     pub fn abandoned_sorted(&self) -> Vec<ObjectId> {
         let mut abandoned: Vec<ObjectId> = self.abandoned.iter().copied().collect();
@@ -457,7 +429,7 @@ impl RunBook {
         accounts: &AccountBook,
         account: usize,
         blocked: HashSet<ObjectId>,
-        slots: Option<HashMap<AnnotatorId, usize>>,
+        slots: Option<Arc<[usize]>>,
         now: SimTime,
     ) -> RefreshRequest {
         RefreshRequest {

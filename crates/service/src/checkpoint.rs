@@ -11,8 +11,9 @@
 //! either [`ExecMode`].
 //!
 //! The wire format reuses `crowdrl-serve`'s checkpoint codec and its
-//! [`record_codec!`] field tables — the shard, account and metrics
-//! records are the ones the single-run checkpoint stores: one
+//! [`record_codec!`] field tables — each active project's run is the
+//! [`RunState`] record the single-run checkpoint stores, and the account
+//! record is shared too: one
 //! deterministic JSON document, `f64`s as 16-hex-digit IEEE-754 bit
 //! patterns (resume must not round-trip money or clocks through decimal
 //! text), objects in `BTreeMap` key order so the same checkpoint always
@@ -21,10 +22,8 @@
 //! Restore is guarded by [`service_fingerprint`]: an FNV-1a hash of the
 //! service configuration and every submitted spec, with the
 //! observationally-neutral knobs canonicalized out first — [`ExecMode`]
-//! (checkpoints cross SingleThread↔WorkerPool), the service-wide
-//! [`DecideConfig`](crowdrl_core::DecideConfig) override (scoring
-//! strategy never changes selections), and the checkpoint cadence
-//! itself. A mismatch is a typed
+//! (checkpoints cross SingleThread↔WorkerPool) and the checkpoint
+//! cadence itself. A mismatch is a typed
 //! [`ServiceError::ConfigMismatch`](crate::ServiceError), not a silent
 //! divergence.
 //!
@@ -35,47 +34,28 @@ use crate::error::ServiceError;
 use crowdrl_core::outcome::LabellingOutcome;
 use crowdrl_obs::json::{parse, Value};
 use crowdrl_serve::checkpoint::{
-    arr_usize, bits_f64, boolean, dec_account, dec_answers, dec_collector, dec_core,
-    dec_label_state, dec_shard, dec_stats, dec_trace_event, enc_account, enc_answers,
-    enc_collector, enc_core, enc_label_state, enc_shard, enc_stats, enc_trace_event, field,
-    get_arr, get_bool, get_f64_bits, get_hex_u64, get_list, get_object_ids, get_opt_classes,
-    get_record, get_sim_time, get_str, get_usize, hex_u64, list, num, obj, object_ids, opt_classes,
-    sim_time, usizes, versioned,
+    arr_usize, bits_f64, boolean, dec_account, dec_label_state, dec_run_state, dec_stats,
+    dec_trace_event, enc_account, enc_label_state, enc_run_state, enc_stats, enc_trace_event,
+    field, get_bool, get_f64_bits, get_hex_u64, get_list, get_opt_classes, get_record,
+    get_sim_time, get_str, get_usize, hex_u64, list, num, obj, opt_classes, sim_time, usizes,
+    versioned,
 };
-use crowdrl_serve::core_loop::CoreState;
-use crowdrl_serve::{
-    record_codec, AccountState, ExecMode, MetricsCollector, ServiceMetrics, ShardState, TraceEvent,
-};
+use crowdrl_serve::{record_codec, AccountState, ExecMode, RunState, ServiceMetrics, TraceEvent};
 use crowdrl_sim::AnnotatorPool;
-use crowdrl_types::{AnswerSet, ObjectId, Result, SimTime};
+use crowdrl_types::{Result, SimTime};
 
-/// Format version stamped into every service checkpoint.
-const VERSION: usize = 1;
+/// Format version stamped into every service checkpoint. Version 2
+/// stores each active project's run as the single-run pump's
+/// [`RunState`] record; version 1 documents are refused.
+const VERSION: usize = 2;
 
-/// Everything a running project carries: the agent core's learning
-/// state plus the service-side scheduling state around it.
+/// Everything a running project carries: its run — the record the
+/// single-run pump checkpoints too — plus the service-side scheduling
+/// state around it.
 #[derive(Debug, Clone)]
 pub struct ActiveProjectState {
-    /// The agent core (classifier, DQN, label states, qualities).
-    pub core: CoreState,
-    /// One snapshot per shard, in shard order.
-    pub shards: Vec<ShardState>,
-    /// Merged answers across shards, in merge order.
-    pub answers: AnswerSet,
-    /// Answers merged since the last refresh.
-    pub answers_since: usize,
-    /// When the last refresh ran.
-    pub last_refresh: SimTime,
-    /// Per-object requeue counts.
-    pub requeues: Vec<usize>,
-    /// Objects that exhausted their requeue allowance, ascending.
-    pub abandoned: Vec<ObjectId>,
-    /// Raw metrics counters.
-    pub collector: MetricsCollector,
-    /// When the project activated.
-    pub started_at: SimTime,
-    /// The core reported all objects labelled.
-    pub done: bool,
+    /// The project's run: agent core, shards and books.
+    pub run: RunState,
     /// The last dispatch round was starved by pool contention.
     pub starved: bool,
 }
@@ -173,7 +153,9 @@ record_codec! {
         "active" => active: usizes, arr_usize;
         "accounts" => accounts: list(enc_account), get_list(dec_account);
         "broker_load" => broker_load: usizes, arr_usize;
-        "broker_evidence" => broker_evidence: usize_lists, get_usize_lists;
+        "broker_evidence" => broker_evidence:
+            list(|projects: &Vec<usize>| obj([("projects", usizes(projects))])),
+            get_list(|v| arr_usize(v, "projects"));
         "trace" => trace: list(enc_traced), get_list(dec_traced);
         "projects" => projects: list(enc_project), get_list(dec_project);
     }
@@ -215,25 +197,15 @@ record_codec! {
 
 record_codec! {
     ActiveProjectState: enc_active / dec_active {
-        "core" => core: enc_core, get_record(dec_core);
-        "shards" => shards: list(enc_shard), get_list(dec_shard);
-        "answers" => answers: enc_answers, dec_answers;
-        "answers_since" => answers_since: num, get_usize;
-        "last_refresh" => last_refresh: sim_time, get_sim_time;
-        "requeues" => requeues: usizes, arr_usize;
-        "abandoned" => abandoned: object_ids, get_object_ids;
-        "collector" => collector: enc_collector, get_record(dec_collector);
-        "started_at" => started_at: sim_time, get_sim_time;
-        "done" => done: boolean, get_bool;
+        "run" => run: enc_run_state, get_record(dec_run_state);
         "starved" => starved: boolean, get_bool;
     }
 }
 
 /// FNV-1a fingerprint of everything that must match for a checkpoint to
 /// resume: the service config with its observationally-neutral knobs
-/// canonicalized out (exec mode, the decide override, the checkpoint
-/// cadence), the pool size, and each spec's name, priority, config
-/// fingerprint and dataset shape.
+/// canonicalized out (exec mode, the checkpoint cadence), the pool size,
+/// and each spec's name, priority, config fingerprint and dataset shape.
 pub fn service_fingerprint(
     cfg: &ServiceConfig,
     specs: &[ProjectSpec],
@@ -241,7 +213,6 @@ pub fn service_fingerprint(
 ) -> u64 {
     let mut canonical = cfg.clone();
     canonical.mode = ExecMode::SingleThread;
-    canonical.decide = None;
     canonical.checkpoint_every_rounds = 0;
     let mut h = Fnv::new();
     h.write(format!("{canonical:?}").as_bytes());
@@ -274,32 +245,6 @@ impl Fnv {
 
 fn corrupt(msg: impl Into<String>) -> crowdrl_types::Error {
     ServiceError::CorruptCheckpoint(msg.into()).into()
-}
-
-/// Count lists as an array of count arrays.
-fn usize_lists(lists: &[Vec<usize>]) -> Value {
-    Value::Arr(lists.iter().map(|l| usizes(l)).collect())
-}
-
-fn get_usize_lists(v: &Value, key: &str) -> Result<Vec<Vec<usize>>> {
-    get_arr(v, key)?
-        .iter()
-        .map(|e| dec_usizes(e, key))
-        .collect()
-}
-
-fn dec_usizes(v: &Value, what: &str) -> Result<Vec<usize>> {
-    let Value::Arr(items) = v else {
-        return Err(corrupt(format!("{what} is not an array")));
-    };
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, x)| match x {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as usize),
-            _ => Err(corrupt(format!("{what}[{i}] is not a count"))),
-        })
-        .collect()
 }
 
 fn enc_traced(entry: &(usize, TraceEvent)) -> Value {
@@ -406,7 +351,7 @@ mod tests {
                 TraceEvent::Dispatched {
                     at: SimTime::new(1.5).unwrap(),
                     id: crowdrl_types::AssignmentId(5),
-                    object: ObjectId(2),
+                    object: crowdrl_types::ObjectId(2),
                     annotator: crowdrl_types::AnnotatorId(1),
                 },
             )],
@@ -461,15 +406,25 @@ mod tests {
         let text = sample_checkpoint().encode();
         let mut h = Fnv::new();
         h.write(text.as_bytes());
-        assert_eq!(h.0, 0x5321_164d_25cb_ba5f);
+        assert_eq!(h.0, 0xf9e2_039c_ac73_787a);
     }
 
     #[test]
     fn corruption_is_rejected_with_a_typed_error() {
         let text = sample_checkpoint().encode();
-        let wrong_version = text.replacen("\"version\":1", "\"version\":99", 1);
+        let wrong_version = text.replacen("\"version\":2", "\"version\":99", 1);
         let err = ServiceCheckpoint::decode(&wrong_version).unwrap_err();
         assert!(err.to_string().contains("version"));
+        // A version-1 document (active projects before the shared run
+        // record) is refused with the typed version error, not misread.
+        let v1 = text.replacen("\"version\":2", "\"version\":1", 1);
+        assert_eq!(
+            ServiceCheckpoint::decode(&v1).unwrap_err(),
+            ServiceError::CorruptCheckpoint(
+                "unsupported service checkpoint version 1 (expected 2)".into()
+            )
+            .into()
+        );
         assert!(ServiceCheckpoint::decode("not json").is_err());
         let truncated = &text[..text.len() / 2];
         assert!(ServiceCheckpoint::decode(truncated).is_err());
@@ -491,7 +446,7 @@ mod tests {
         let specs = vec![ProjectSpec::new("p", config, dataset)];
         let base = ServiceConfig::default();
         let f = service_fingerprint(&base, &specs, &pool);
-        // Exec mode, decide override, and cadence are neutral.
+        // Exec mode and cadence are neutral.
         let pooled = base
             .clone()
             .with_mode(ExecMode::WorkerPool { workers: 4 })

@@ -1,7 +1,7 @@
 //! Service configuration: capacity, admission, sharding, scheduling
 //! cadence, and the shared-pool models every project runs against.
 
-use crowdrl_core::{CrowdRlConfig, DecideConfig};
+use crowdrl_core::CrowdRlConfig;
 use crowdrl_serve::{ExecMode, QuarantineConfig};
 use crowdrl_sim::{CapacitySpec, DynamicsSpec, ServiceFaultPlan};
 use crowdrl_types::{Dataset, Error, Result};
@@ -91,12 +91,6 @@ pub struct ServiceConfig {
     /// least this many projects is blocked pool-wide (no project gets
     /// it). `0` disables the shared view.
     pub shared_evidence_threshold: usize,
-    /// Service-wide decide-path override. `Some` replaces every admitted
-    /// project's `config.decide` (fleet operators flip the whole service
-    /// between pruned and exhaustive scoring with one knob); `None`
-    /// leaves each project's own setting untouched. Selections are
-    /// bit-identical either way — this only trades scoring work.
-    pub decide: Option<DecideConfig>,
     /// Cut a [`ServiceCheckpoint`](crate::ServiceCheckpoint) every this
     /// many scheduling rounds (at the round boundary, after settlements
     /// merge and finished projects finalize). `0` disables checkpoints.
@@ -140,7 +134,6 @@ impl Default for ServiceConfig {
             sampling_seed: 0x5EED_CAFE,
             quarantine: QuarantineConfig::default(),
             shared_evidence_threshold: 0,
-            decide: None,
             checkpoint_every_rounds: 0,
             max_queue_depth: 0,
             min_free_slot_ratio: 0.0,
@@ -234,18 +227,6 @@ impl ServiceConfig {
     /// Set the assignment timeout.
     pub fn with_timeout(mut self, timeout: f64) -> Self {
         self.timeout = timeout;
-        self
-    }
-
-    /// Set the shared-evidence threshold.
-    pub fn with_shared_evidence(mut self, threshold: usize) -> Self {
-        self.shared_evidence_threshold = threshold;
-        self
-    }
-
-    /// Override every project's decide-path configuration.
-    pub fn with_decide(mut self, decide: DecideConfig) -> Self {
-        self.decide = Some(decide);
         self
     }
 

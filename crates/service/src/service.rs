@@ -22,9 +22,10 @@
 //!    [`AgentCore`] is private state.
 //! 5. **Grant (sequential).** Panels are arbitrated through the
 //!    [`PoolBroker`] in *(priority descending, submission index
-//!    ascending)* order; response sampling for the granted assignments
-//!    fans out on the pool (pure per-uid streams), and the assignments
-//!    open on their shards.
+//!    ascending)* order. Each granted assignment samples its response
+//!    (a pure per-uid stream) and opens on its shard as it is granted,
+//!    exactly as the single-run pump dispatches — so a panel naming one
+//!    pair twice finds it claimed the second time.
 //!
 //! # Why both exec modes are bit-identical
 //!
@@ -47,19 +48,16 @@ use crate::config::{AdmissionPolicy, ProjectSpec, ServiceConfig};
 use crate::error::ServiceError;
 use crate::metrics::{AggregateMetrics, ProjectReport, ServiceOutcome};
 use crate::project::{Project, ProjectStatus};
-use crowdrl_linalg::pool::{self as tpool, SendPtr};
+use crowdrl_linalg::pool as tpool;
 use crowdrl_obs as obs;
-use crowdrl_serve::core_loop::{AgentCore, RefreshReply};
 use crowdrl_serve::sampler::{sample_outcome, SampleJob};
-use crowdrl_serve::{AccountBook, RunBook, RunControl, Shard, ShardBatch, ShardEvent, TraceEvent};
+use crowdrl_serve::{AccountBook, Run, RunControl, Shard, ShardBatch, ShardEvent, TraceEvent};
 use crowdrl_sim::{AnnotatorDynamics, AnnotatorPool};
-use crowdrl_types::{AnnotatorId, AssignmentId, Error, Result, SimTime};
+use crowdrl_types::{AnnotatorId, AssignmentId, Error, ObjectId, Result, SimTime};
 use rand::Rng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 use std::time::Instant;
-
-/// Sampling fan-out granularity (assignments per worker chunk).
-const SAMPLE_CHUNK: usize = 64;
 
 /// Receives each [`ServiceCheckpoint`] as it is cut and decides whether
 /// the run continues (mirrors `crowdrl-serve`'s `CheckpointSink`).
@@ -223,17 +221,6 @@ impl Service {
     }
 }
 
-/// One granted assignment, between arbitration and opening on a shard.
-#[derive(Debug, Clone, Copy)]
-struct Grant {
-    project: usize,
-    shard: usize,
-    object: crowdrl_types::ObjectId,
-    annotator: crowdrl_types::AnnotatorId,
-    cost: f64,
-    uid: u64,
-}
-
 /// The live scheduling state for one service run.
 struct Engine<'a> {
     cfg: &'a ServiceConfig,
@@ -266,13 +253,20 @@ struct Engine<'a> {
     shed: usize,
 }
 
-/// What one shard's parallel advance produced: a normal batch, or the
-/// contained payload of a panic (injected or genuine). The
-/// `catch_unwind` lives *inside* the chunk closure, so a panicking
-/// tenant can never poison the shared thread pool or its siblings.
-enum AdvanceSlot {
-    Batch(Result<ShardBatch>),
-    Panicked(String),
+/// The runs of the distinct admitted projects `indices`, in that order,
+/// borrowed mutably at once (each is handed to its own parallel chunk).
+fn runs_mut<'p, 'a>(
+    projects: &'p mut [Option<Project<'a>>],
+    indices: &[usize],
+) -> Vec<&'p mut Run<'a>> {
+    let mut runs: Vec<Option<&mut Run<'a>>> = projects
+        .iter_mut()
+        .map(|p| p.as_mut().map(|p| &mut p.run))
+        .collect();
+    indices
+        .iter()
+        .map(|&i| runs[i].take().expect("distinct admitted projects"))
+        .collect()
 }
 
 /// Render a caught panic payload for the typed `ProjectFailed` error.
@@ -328,30 +322,20 @@ impl<'a> Engine<'a> {
                 continue;
             }
             errors.push(None);
-            let mut project_config = spec.config.clone();
-            if let Some(decide) = cfg.decide {
-                // Service-wide decide override (observationally neutral:
-                // selections are bit-identical across modes).
-                project_config.decide = decide;
-            }
-            let mut core = AgentCore::new(
-                project_config,
+            let mut run = Run::new(
+                spec.config.clone(),
                 &spec.dataset,
                 pool,
                 seeds[i],
                 cfg.quarantine.clone(),
             )?;
-            core.set_obs_scope(format!("project.{i}."));
+            run.core.set_obs_scope(format!("project.{i}."));
             projects.push(Some(Project {
                 index: i,
                 name: spec.name.clone(),
                 priority: spec.priority,
-                core,
-                shards: Vec::new(),
-                book: RunBook::new(spec.dataset.len()),
-                started_at: SimTime::ZERO,
+                run,
                 status: ProjectStatus::Queued,
-                done: false,
                 starved: false,
                 outcome: None,
                 metrics: None,
@@ -428,47 +412,32 @@ impl<'a> Engine<'a> {
         let panels = {
             let p = self.project_mut(i);
             p.status = ProjectStatus::Active;
-            p.started_at = at;
-            p.book.last_refresh = at;
-            p.shards = (0..shards).map(|_| Shard::new(at)).collect();
-            p.core.initial_panels()
+            p.run.start(at, shards);
+            p.run.core.initial_panels()
         };
         self.active.push(i);
-        let (grants, contended) = self.grant(i, &panels)?;
-        let dispatched = self.dispatch(grants)?;
-        self.project_mut(i).starved = contended && dispatched == 0;
+        self.dispatch(i, &panels)?;
         Ok(())
     }
 
-    /// Arbitrate one project's panels through the broker: reserve budget
-    /// and take annotator slots for every admissible assignment, in the
-    /// deterministic panel order the core proposed. Returns the grants
-    /// plus whether anything was refused *for pool contention* (slots
-    /// held by in-flight work — the one kind of refusal that resolves by
-    /// itself as time advances).
-    fn grant(
-        &mut self,
-        i: usize,
-        panels: &[(crowdrl_types::ObjectId, Vec<crowdrl_types::AnnotatorId>)],
-    ) -> Result<(Vec<Grant>, bool)> {
-        let mut grants = Vec::new();
+    /// Grant one project's panels in the order the core proposed: per
+    /// admissible assignment, reserve its budget and an annotator slot,
+    /// sample the response, defer it past any project outage and open it
+    /// on the project's run. The project is starved when nothing went out
+    /// and a slot was refused *for pool contention* (held by in-flight
+    /// work, so it frees itself as time advances). Returns the count.
+    fn dispatch(&mut self, i: usize, panels: &[(ObjectId, Vec<AnnotatorId>)]) -> Result<usize> {
+        let (now, deadline) = (self.now, self.now + self.timeout);
+        let mut dispatched = 0;
         let mut contended = false;
         for (object, annotators) in panels {
             for &annotator in annotators {
                 let a = annotator.index();
                 let cost = self.pool.profile(annotator).cost;
-                let shard = {
-                    let p = self.project(i);
-                    let s = p.shard_of(*object);
-                    if p.shards[s].pair_claimed(*object, annotator) {
-                        continue;
-                    }
-                    s
-                };
-                if !self.accounts.can_reserve(i, cost) {
-                    continue;
-                }
-                if self.broker.blocked(a) {
+                if self.project(i).run.pair_claimed(*object, annotator)
+                    || !self.accounts.can_reserve(i, cost)
+                    || self.broker.blocked(a)
+                {
                     continue;
                 }
                 if !self.broker.has_slot(a) {
@@ -479,89 +448,41 @@ impl<'a> Engine<'a> {
                 self.broker.acquire(a);
                 let uid = self.next_uid;
                 self.next_uid += 1;
-                self.trace.push((
-                    i,
-                    TraceEvent::Dispatched {
-                        at: self.now,
-                        id: AssignmentId(uid),
-                        object: *object,
-                        annotator,
-                    },
-                ));
-                grants.push(Grant {
-                    project: i,
-                    shard,
+                let job = SampleJob {
+                    id: AssignmentId(uid),
                     object: *object,
                     annotator,
-                    cost,
-                    uid,
-                });
+                    truth: self.specs[i].dataset.truth(object.index()),
+                };
+                // Project-scoped outage windows push the arrival past the
+                // window's end (fixed point — windows may chain); an
+                // arrival deferred past the deadline late-rejects as
+                // usual. Untouched arrivals keep their exact latency bits,
+                // so projects without outages are bit-identical to a
+                // no-fault run.
+                let response =
+                    match sample_outcome(self.cfg.sampling_seed, job, self.pool, self.dynamics) {
+                        Some((label, latency)) => {
+                            let arrival = now + latency;
+                            let deferred = self.cfg.faults.defer(i, arrival.as_f64());
+                            if deferred == arrival.as_f64() {
+                                Some((label, latency))
+                            } else {
+                                obs::counter_add("fault.injected.outage", 1);
+                                Some((label, SimTime::new(deferred)? - now))
+                            }
+                        }
+                        None => None,
+                    };
+                let run = &mut self.project_mut(i).run;
+                let opened =
+                    run.open(*object, annotator, cost, uid, now, deadline, response, None)?;
+                self.trace.push((i, opened));
+                dispatched += 1;
             }
         }
-        self.project_mut(i).book.collector.dispatched += grants.len();
-        Ok((grants, contended))
-    }
-
-    /// Sample the virtual crowd's responses for a batch of grants (in
-    /// parallel — each uid keys an independent stream) and open the
-    /// assignments on their shards.
-    fn dispatch(&mut self, grants: Vec<Grant>) -> Result<usize> {
-        if grants.is_empty() {
-            return Ok(0);
-        }
-        let jobs: Vec<SampleJob> = grants
-            .iter()
-            .map(|g| SampleJob {
-                id: AssignmentId(g.uid),
-                object: g.object,
-                annotator: g.annotator,
-                truth: self.specs[g.project].dataset.truth(g.object.index()),
-            })
-            .collect();
-        let seed = self.cfg.sampling_seed;
-        let (pool_ref, dynamics) = (self.pool, self.dynamics);
-        let outcomes: Vec<_> = tpool::map_chunks(jobs.len(), SAMPLE_CHUNK, |range| {
-            range
-                .map(|k| sample_outcome(seed, jobs[k], pool_ref, dynamics))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let deadline = self.now + self.timeout;
-        let now = self.now;
-        let cfg = self.cfg;
-        for (grant, outcome) in grants.iter().zip(outcomes) {
-            // Project-scoped outage windows push the arrival past the
-            // window's end (fixed point — windows may chain); an arrival
-            // deferred past the deadline late-rejects as usual. Untouched
-            // arrivals keep their exact latency bits, so projects without
-            // outages are bit-identical to a no-fault run.
-            let response = match outcome {
-                Some((label, latency)) => {
-                    let arrival = now + latency;
-                    let deferred = cfg.faults.defer(grant.project, arrival.as_f64());
-                    if deferred == arrival.as_f64() {
-                        Some((label, latency))
-                    } else {
-                        obs::counter_add("fault.injected.outage", 1);
-                        Some((label, SimTime::new(deferred)? - now))
-                    }
-                }
-                None => None,
-            };
-            self.project_mut(grant.project).shards[grant.shard].open(
-                grant.object,
-                grant.annotator,
-                grant.cost,
-                grant.uid,
-                now,
-                deadline,
-                response,
-                None,
-            )?;
-        }
-        Ok(grants.len())
+        self.project_mut(i).starved = contended && dispatched == 0;
+        Ok(dispatched)
     }
 
     /// Advance every active shard to `horizon` in parallel, then merge
@@ -573,89 +494,63 @@ impl<'a> Engine<'a> {
     /// [`fail_project`](Self::fail_project) (releasing everything it
     /// held) while every other tenant's batch merges normally.
     fn advance_and_merge(&mut self, horizon: SimTime) -> Result<()> {
-        let work: Vec<(usize, usize)> = self
+        // One work item per active shard, in (project, shard) order.
+        // Injected panics fire on the project's first shard, in the first
+        // round whose horizon passes the scheduled time.
+        let faults = &self.cfg.faults;
+        let mut work = Vec::new();
+        for (&i, run) in self
             .active
             .iter()
-            .flat_map(|&i| (0..self.project(i).shards.len()).map(move |s| (i, s)))
-            .collect();
+            .zip(runs_mut(&mut self.projects, &self.active))
+        {
+            for (s, shard) in run.shards.iter_mut().enumerate() {
+                let panic_at = faults
+                    .panic_at(i)
+                    .filter(|&at| s == 0 && at <= horizon.as_f64());
+                work.push((i, panic_at, shard));
+            }
+        }
         if work.is_empty() {
             return Ok(());
         }
-        // Injected panics fire on the project's first shard, in the
-        // first round whose horizon passes the scheduled time.
-        let panic_at: Vec<Option<f64>> = work
-            .iter()
-            .map(|&(i, s)| {
-                if s != 0 {
-                    return None;
-                }
-                self.cfg
-                    .faults
-                    .panic_at(i)
-                    .filter(|&at| at <= horizon.as_f64())
-            })
-            .collect();
-        let mut ptrs: Vec<SendPtr<Shard>> = Vec::with_capacity(work.len());
-        for &(i, s) in &work {
-            ptrs.push(SendPtr(
-                &mut self.projects[i].as_mut().expect("active project").shards[s] as *mut Shard,
-            ));
-        }
-        let mut batches: Vec<Option<AdvanceSlot>> = (0..work.len()).map(|_| None).collect();
-        let slots = SendPtr(batches.as_mut_ptr());
-        let ptrs_ref = &ptrs;
-        let panic_ref = &panic_at;
-        // SAFETY: `ptrs` point at distinct shards (disjoint (i, s) pairs
-        // over distinct projects), and slot k is written only by chunk k
-        // — every write target is private to its chunk. A panic unwinds
-        // only out of `Shard::advance`, whose staged-batch design keeps
-        // the shard's settled-but-unreported events recoverable.
-        tpool::run_chunks(work.len(), move |k| {
-            let shard = unsafe { &mut *ptrs_ref[k].get() };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if let Some(at) = panic_ref[k] {
+        // A panic unwinds only out of `Shard::advance`, whose staged-batch
+        // design keeps the shard's settled-but-unreported events
+        // recoverable.
+        let results = tpool::map_mut(&mut work, |(_, panic_at, shard)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Some(at) = panic_at {
                     panic!("injected shard panic at t={at}");
                 }
                 shard.advance(horizon)
-            }));
-            let slot = match result {
-                Ok(batch) => AdvanceSlot::Batch(batch),
-                Err(payload) => AdvanceSlot::Panicked(panic_message(payload.as_ref())),
-            };
-            unsafe { *slots.get().add(k) = Some(slot) };
+            }))
         });
-        // Merge: healthy projects apply normally; a panicked project's
-        // sibling batches are diverted to the containment path so their
-        // held slots and reservations are released, never charged.
-        let mut failed: Vec<(usize, String)> = Vec::new();
-        let mut orphaned: Vec<(usize, ShardBatch)> = Vec::new();
-        for (k, &(i, _)) in work.iter().enumerate() {
-            match batches[k].take().expect("chunk ran") {
-                AdvanceSlot::Panicked(msg) => {
-                    if !failed.iter().any(|(p, _)| *p == i) {
-                        failed.push((i, msg));
+        let owners: Vec<usize> = work.iter().map(|&(i, ..)| i).collect();
+        // Merge project by project. Once one of a project's shards has
+        // panicked, its later batches are diverted to the containment
+        // path, so the slots and reservations they held are released,
+        // never charged.
+        let mut results = owners.into_iter().zip(results).peekable();
+        while let Some(&(i, _)) = results.peek() {
+            let (mut orphaned, mut panicked) = (Vec::new(), None);
+            while let Some((_, result)) = results.next_if(|&(p, _)| p == i) {
+                match result {
+                    Err(payload) => {
+                        panicked.get_or_insert_with(|| panic_message(payload.as_ref()));
                     }
-                }
-                AdvanceSlot::Batch(batch) => {
-                    let batch = batch?;
-                    if failed.iter().any(|(p, _)| *p == i) {
-                        orphaned.push((i, batch));
-                        continue;
+                    Ok(batch) if panicked.is_some() => orphaned.push(batch?),
+                    Ok(batch) => {
+                        let batch = batch?;
+                        for event in batch.events {
+                            self.apply(i, event)?;
+                        }
+                        self.project_mut(i).run.book.collector.events += batch.processed;
                     }
-                    for event in batch.events {
-                        self.apply(i, event)?;
-                    }
-                    self.project_mut(i).book.collector.events += batch.processed;
                 }
             }
-        }
-        for (i, msg) in failed {
-            let siblings: Vec<ShardBatch> = orphaned
-                .iter_mut()
-                .filter(|(p, _)| *p == i)
-                .map(|(_, b)| std::mem::take(b))
-                .collect();
-            self.fail_project(i, format!("shard panicked: {msg}"), siblings)?;
+            if let Some(msg) = panicked {
+                self.fail_project(i, format!("shard panicked: {msg}"), orphaned)?;
+            }
         }
         Ok(())
     }
@@ -671,26 +566,18 @@ impl<'a> Engine<'a> {
         // Settlements that never merged: sibling shards' returned
         // batches plus whatever the interrupted advance had staged.
         let mut batches = orphaned;
-        {
-            let p = self.projects[i].as_mut().expect("failing project");
-            for shard in &mut p.shards {
-                batches.push(shard.drain_staged());
+        let shards = &mut self.project_mut(i).run.shards;
+        batches.extend(shards.iter_mut().map(Shard::drain_staged));
+        for event in batches.into_iter().flat_map(|batch| batch.events) {
+            if let ShardEvent::Delivered {
+                annotator, cost, ..
             }
-        }
-        for batch in batches {
-            for event in batch.events {
-                match event {
-                    ShardEvent::Delivered {
-                        annotator, cost, ..
-                    }
-                    | ShardEvent::Expired {
-                        annotator, cost, ..
-                    } => {
-                        self.broker.release(annotator.index());
-                        self.accounts.release(i, cost)?;
-                    }
-                    ShardEvent::RejectedLate { .. } => {}
-                }
+            | ShardEvent::Expired {
+                annotator, cost, ..
+            } = event
+            {
+                self.broker.release(annotator.index());
+                self.accounts.release(i, cost)?;
             }
         }
         self.retire(i, ProjectStatus::Failed)?;
@@ -706,7 +593,7 @@ impl<'a> Engine<'a> {
     fn retire(&mut self, i: usize, status: ProjectStatus) -> Result<()> {
         let p = self.projects[i].as_mut().expect("retiring project");
         let mut released = Vec::new();
-        for shard in &mut p.shards {
+        for shard in &mut p.run.shards {
             released.extend(shard.cancel_in_flight()?);
         }
         for (annotator, cost) in released {
@@ -716,8 +603,8 @@ impl<'a> Engine<'a> {
         self.broker.clear_project(i);
         let spent = self.accounts.spent(i);
         let p = self.projects[i].as_mut().expect("retiring project");
-        let collector = std::mem::take(&mut p.book.collector);
-        let metrics = collector.finish(p.watermark() - p.started_at, 0.0, spent);
+        let collector = std::mem::take(&mut p.run.book.collector);
+        let metrics = collector.finish(p.run.watermark() - p.run.started_at, 0.0, spent);
         metrics.emit_trace_scoped(&format!("project.{}.", p.index));
         p.metrics = Some(metrics);
         p.status = status;
@@ -759,7 +646,10 @@ impl<'a> Engine<'a> {
         }
         let max_requeues = self.cfg.max_requeues;
         let p = self.projects[i].as_mut().expect("active project");
-        let traced = p.book.apply(event, &mut self.accounts, i, max_requeues)?;
+        let traced = p
+            .run
+            .book
+            .apply(event, &mut self.accounts, i, max_requeues)?;
         self.trace.push((i, traced));
         Ok(())
     }
@@ -772,61 +662,46 @@ impl<'a> Engine<'a> {
         if due.is_empty() {
             return Ok(0);
         }
-        // One shared snapshot of the pool's free concurrency slots for
-        // the whole round: the cores skip exhausted annotators during
-        // selection and spread a batch across annotators that can
-        // actually take it. The map is read before any of this round's
-        // grants, which keeps it identical for every due project
-        // regardless of handling order; the broker still arbitrates at
-        // grant time, so the snapshot being optimistic across projects
+        // One snapshot of the pool's free slots per round, indexed by
+        // annotator: the cores skip exhausted annotators and spread a
+        // batch over those that can take it. It is read before this
+        // round's grants, so every due project sees the same table; the
+        // broker still arbitrates each grant, so an optimistic snapshot
         // costs at most a skipped grant, never an overcommit.
-        let slots: HashMap<AnnotatorId, usize> = (0..self.broker.annotators())
-            .map(|a| (AnnotatorId(a), self.broker.free_slots(a)))
+        let slots: Arc<[usize]> = (0..self.broker.annotators())
+            .map(|a| self.broker.free_slots(a))
             .collect();
-        let mut requests = Vec::with_capacity(due.len());
-        for &i in due {
-            let p = self.project(i);
-            requests.push(p.book.refresh_request(
+        let mut work = Vec::with_capacity(due.len());
+        for (&i, run) in due.iter().zip(runs_mut(&mut self.projects, due)) {
+            let request = run.book.refresh_request(
                 &self.accounts,
                 i,
-                p.blocked(),
-                Some(slots.clone()),
-                p.watermark(),
-            ));
+                run.blocked(),
+                Some(Arc::clone(&slots)),
+                run.watermark(),
+            );
+            work.push((run, request));
         }
-        let mut ptrs: Vec<SendPtr<Project<'a>>> = Vec::with_capacity(due.len());
-        for &i in due {
-            ptrs.push(SendPtr(
-                self.projects[i].as_mut().expect("active project") as *mut Project<'a>
-            ));
-        }
-        let mut replies: Vec<Option<Result<RefreshReply>>> = (0..due.len()).map(|_| None).collect();
-        let slots = SendPtr(replies.as_mut_ptr());
-        let requests_ref = &requests;
-        let ptrs_ref = &ptrs;
-        // SAFETY: `due` holds distinct submission indices, so the
-        // pointers target distinct projects; slot k is written only by
-        // chunk k. Each chunk mutates only its own project's core.
-        tpool::run_chunks(due.len(), move |k| {
-            let p = unsafe { &mut *ptrs_ref[k].get() };
-            let reply = p.core.refresh(&requests_ref[k]).inspect(|_| p.core.train());
-            unsafe { *slots.get().add(k) = Some(reply) };
+        // Each item is one project's private run; replies come back in
+        // `due` order.
+        let replies = tpool::map_mut(&mut work, |(run, request)| {
+            let reply = run.refresh(request)?;
+            Ok::<_, Error>((request.now, reply))
         });
+        // Release the requests' answer-set clones, so the next settlement's
+        // `Arc::make_mut` writes in place.
+        drop(work);
         let mut total_dispatched = 0;
-        for (k, &i) in due.iter().enumerate() {
-            let reply = replies[k].take().expect("chunk ran")?;
-            let p = self.projects[i].as_mut().expect("active project");
-            p.done = reply.done;
-            let traced = p.book.refreshed(requests[k].now, &reply);
+        for (&i, reply) in due.iter().zip(replies) {
+            let (now, reply) = reply?;
+            let p = self.project_mut(i);
+            let traced = p.run.book.refreshed(now, &reply);
             self.trace.extend(traced.map(|event| (i, event)));
             for q in &reply.quarantine {
                 self.broker
                     .note_quarantine(i, q.annotator.index(), q.entered);
             }
-            let (grants, contended) = self.grant(i, &reply.panels)?;
-            let dispatched = self.dispatch(grants)?;
-            self.project_mut(i).starved = contended && dispatched == 0;
-            total_dispatched += dispatched;
+            total_dispatched += self.dispatch(i, &reply.panels)?;
         }
         Ok(total_dispatched)
     }
@@ -836,7 +711,7 @@ impl<'a> Engine<'a> {
     fn finalize(&mut self, i: usize) -> Result<()> {
         let spent = self.accounts.spent(i);
         let p = self.projects[i].as_mut().expect("active project");
-        p.outcome = Some(p.core.finalize(&p.book.answers, spent)?);
+        p.outcome = Some(p.run.core.finalize(&p.run.book.answers, spent)?);
         self.retire(i, ProjectStatus::Completed)
     }
 
@@ -849,7 +724,7 @@ impl<'a> Engine<'a> {
             let next_event = self
                 .active
                 .iter()
-                .filter_map(|&i| self.project(i).next_event_at())
+                .filter_map(|&i| self.project(i).run.next_event_at())
                 .min();
             let had_events = next_event.is_some();
             if let Some(t) = next_event {
@@ -865,12 +740,12 @@ impl<'a> Engine<'a> {
                 .iter()
                 .copied()
                 .filter(|&i| {
-                    let p = self.project(i);
+                    let run = &self.project(i).run;
                     // Backpressure: a project over its settlement-backlog
                     // bound must drain before it may dispatch more work.
                     (self.cfg.max_settlement_backlog == 0
-                        || p.backlog() <= self.cfg.max_settlement_backlog)
-                        && p.refresh_due(self.cfg.answer_watermark, self.cfg.time_watermark)
+                        || run.backlog() <= self.cfg.max_settlement_backlog)
+                        && run.refresh_due(self.cfg.answer_watermark, self.cfg.time_watermark)
                 })
                 .collect();
             due.sort_by(|&a, &b| {
@@ -891,7 +766,7 @@ impl<'a> Engine<'a> {
                 .copied()
                 .filter(|&i| {
                     let p = self.project(i);
-                    p.done || (p.is_idle() && !p.starved)
+                    p.run.done || (p.run.is_idle() && !p.starved)
                 })
                 .collect();
             // Stall-breaker: no events anywhere and a full refresh round
@@ -939,16 +814,7 @@ impl<'a> Engine<'a> {
                     ProjectStatus::Queued => ProjectCheckpoint::Queued,
                     ProjectStatus::Active => {
                         ProjectCheckpoint::Active(Box::new(ActiveProjectState {
-                            core: p.core.export_state(),
-                            shards: p.shards.iter().map(Shard::export).collect(),
-                            answers: (*p.book.answers).clone(),
-                            answers_since: p.book.answers_since,
-                            last_refresh: p.book.last_refresh,
-                            requeues: p.book.requeues.clone(),
-                            abandoned: p.book.abandoned_sorted(),
-                            collector: p.book.collector.clone(),
-                            started_at: p.started_at,
-                            done: p.done,
+                            run: p.run.export(),
                             starved: p.starved,
                         }))
                     }
@@ -1032,18 +898,11 @@ impl<'a> Engine<'a> {
         let specs = self.specs;
         let pool = self.pool;
         for (i, pc) in cp.projects.into_iter().enumerate() {
-            let stage = match &pc {
-                ProjectCheckpoint::Rejected => "rejected",
-                ProjectCheckpoint::Queued => "queued",
-                ProjectCheckpoint::Active(_) => "active",
-                ProjectCheckpoint::Completed { .. } => "completed",
-                ProjectCheckpoint::Failed { .. } => "failed",
-            };
             let admitted = self.projects[i].is_some();
-            if admitted == (stage == "rejected") {
+            if admitted == matches!(pc, ProjectCheckpoint::Rejected) {
                 let here = if admitted { "admitted" } else { "rejected" };
                 return Err(ServiceError::CorruptCheckpoint(format!(
-                    "project {i} is {stage} in the checkpoint but {here} here"
+                    "project {i} is {here} here but not in the checkpoint"
                 ))
                 .into());
             }
@@ -1053,45 +912,24 @@ impl<'a> Engine<'a> {
             match pc {
                 ProjectCheckpoint::Rejected | ProjectCheckpoint::Queued => {}
                 ProjectCheckpoint::Active(state) => {
-                    let state = *state;
                     let spec = &specs[i];
-                    let mut project_config = spec.config.clone();
-                    if let Some(decide) = cfg.decide {
-                        project_config.decide = decide;
-                    }
-                    p.core = AgentCore::restore(
-                        project_config,
+                    p.run = Run::restore(
+                        spec.config.clone(),
                         &spec.dataset,
                         pool,
                         cfg.quarantine.clone(),
-                        state.core,
-                    )?;
-                    p.core.set_obs_scope(format!("project.{i}."));
-                    p.shards = state
-                        .shards
-                        .into_iter()
-                        .map(Shard::restore)
-                        .collect::<Result<Vec<_>>>()?;
-                    p.book = RunBook::restore(
-                        spec.dataset.len(),
-                        state.answers,
-                        state.answers_since,
-                        state.last_refresh,
-                        state.requeues,
-                        state.abandoned,
-                        state.collector,
+                        state.run,
                     )
                     .map_err(|why| {
                         ServiceError::CorruptCheckpoint(format!("project {i}: {why}"))
                     })?;
-                    p.started_at = state.started_at;
+                    p.run.core.set_obs_scope(format!("project.{i}."));
                     p.status = ProjectStatus::Active;
-                    p.done = state.done;
                     p.starved = state.starved;
                 }
                 ProjectCheckpoint::Completed { outcome, metrics } => {
                     p.status = ProjectStatus::Completed;
-                    p.done = true;
+                    p.run.done = true;
                     p.outcome = Some(outcome);
                     p.metrics = Some(metrics);
                 }

@@ -29,8 +29,9 @@ fn env_usize(name: &str, default: usize) -> usize {
 }
 
 /// `SERVICE_DEMO_DECIDE=pruned|exhaustive` (default: the library default,
-/// pruned). The ci smoke gate runs the demo once per mode and diffs the
-/// output — the decide path must never change a selection.
+/// pruned), set on every project's config. The ci smoke gate runs the
+/// demo once per mode and diffs the output — the decide path must never
+/// change a selection.
 fn env_decide() -> DecideConfig {
     let mode = match std::env::var("SERVICE_DEMO_DECIDE").as_deref() {
         Ok("exhaustive") => DecideMode::Exhaustive,
@@ -66,6 +67,7 @@ fn build_specs(projects: usize, objects: usize) -> Vec<ProjectSpec> {
                 .candidate_cap(32)
                 .assignment_k(1)
                 .inference(InferenceModel::DawidSkene)
+                .decide(env_decide())
                 .build()
                 .expect("config");
             ProjectSpec::new(format!("tenant-{p}"), config, dataset).with_priority((p % 3) as u32)
@@ -83,8 +85,7 @@ fn run(
         .with_capacity(specs.len())
         .with_shards(4)
         .with_watermarks((batch / 2).max(1), 90.0)
-        .with_mode(mode)
-        .with_decide(env_decide());
+        .with_mode(mode);
     // Batch nearby events generously: the decision cadence is set by the
     // watermarks above, so a wide scheduling epoch just cuts round count.
     config.epoch = 10.0;

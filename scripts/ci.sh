@@ -39,6 +39,27 @@ echo "== cargo test (perfbench) =="
 # item could break it unseen.
 timed "perfbench tests" cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "== unreferenced public functions =="
+# A `pub fn` whose name appears nowhere in the Rust sources but in its own
+# definition is API nothing calls: delete it instead of keeping it
+# compiling. Names are matched as whole identifiers across every source
+# tree that can call into the workspace, the benchmark included.
+dead_pub_fns() {
+  local dirs=(crates src tests examples perfbench/src)
+  local dead
+  dead=$(awk 'NR == FNR { defs[$2] = $1; next } ($2 in defs) && $1 <= defs[$2] { print $2 }' \
+    <(grep -rhoE --include='*.rs' 'pub(\([a-z]+\))? fn [A-Za-z_][A-Za-z0-9_]*' "${dirs[@]}" |
+      sed -E 's/.* fn //' | sort | uniq -c) \
+    <(grep -rhoE --include='*.rs' '[A-Za-z_][A-Za-z0-9_]*' "${dirs[@]}" | sort | uniq -c))
+  if [[ -n "$dead" ]]; then
+    echo "public functions referenced nowhere but their definition:" >&2
+    echo "$dead" >&2
+    return 1
+  fi
+  echo "every pub fn is referenced outside its definition"
+}
+timed "dead pub fn check" dead_pub_fns
+
 echo "== traced run + crowdrl-trace smoke test =="
 # The observability layer must produce a trace the analyzer can profile:
 # run a small traced experiment and assert the phase profile is non-empty.

@@ -174,3 +174,46 @@ fn budgets_are_isolated_per_project() {
     }
     assert!((outcome.aggregate.total_spent - total).abs() < 1e-9);
 }
+
+/// With an expert-only pool the initial panels can name one (object,
+/// annotator) pair twice. Each grant opens as it is granted, so the copy
+/// finds the pair claimed and is skipped: the run completes, and no pair
+/// is dispatched while an earlier dispatch of it is live (not expired).
+#[test]
+fn an_expert_only_pool_never_dispatches_a_live_pair_twice() {
+    use crowdrl::serve::TraceEvent;
+    use std::collections::HashMap;
+    for s in 0..20u64 {
+        let mut rng = seeded(s);
+        let pool = PoolSpec::new(0, 3).generate(2, &mut rng).unwrap();
+        let dataset = DatasetSpec::gaussian("experts", 30, 4, 2)
+            .generate(&mut rng)
+            .unwrap();
+        let config = CrowdRlConfig::builder().budget(400.0).build().unwrap();
+        let specs = [ProjectSpec::new("experts", config, dataset)];
+        let outcome = Service::new(ServiceConfig::default())
+            .unwrap()
+            .run(&specs, &pool, &mut seeded(s + 100))
+            .unwrap_or_else(|e| panic!("seed {s}: {e}"));
+        assert_eq!(outcome.reports[0].status, ProjectStatus::Completed);
+        let mut live = HashMap::new();
+        for (_, event) in &outcome.trace {
+            if let TraceEvent::Dispatched {
+                id,
+                object,
+                annotator,
+                ..
+            } = *event
+            {
+                let pair = (object, annotator);
+                assert!(
+                    !live.values().any(|&p| p == pair),
+                    "seed {s}: {pair:?} twice"
+                );
+                live.insert(id, pair);
+            } else if let TraceEvent::Expired { id, .. } = *event {
+                live.remove(&id);
+            }
+        }
+    }
+}

@@ -431,13 +431,13 @@ fn resume_damaged(
 /// the first merge.
 #[test]
 fn restore_rejects_requeue_and_answer_tables_not_sized_to_the_dataset() {
-    let err = resume_damaged(|state| state.requeues.clear());
+    let err = resume_damaged(|state| state.run.requeues.clear());
     assert!(
         err.to_string().contains("corrupt service checkpoint")
             && err.to_string().contains("requeues"),
         "wrong error: {err}"
     );
-    let err = resume_damaged(|state| state.answers = AnswerSet::new(1));
+    let err = resume_damaged(|state| state.run.answers = AnswerSet::new(1));
     assert!(
         err.to_string().contains("corrupt service checkpoint"),
         "wrong error: {err}"
@@ -449,7 +449,7 @@ fn restore_rejects_requeue_and_answer_tables_not_sized_to_the_dataset() {
 #[test]
 fn restore_rejects_a_pending_delivery_without_its_label() {
     let err = resume_damaged(|state| {
-        for shard in &mut state.shards {
+        for shard in &mut state.run.shards {
             shard.labels.iter_mut().for_each(|label| *label = None);
         }
     });
